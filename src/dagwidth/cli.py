@@ -2,9 +2,10 @@
 
 Subcommands: mpc, antichain, mcc, sparsify, thin, gen, bench. Graphs are
 read and written in the shared edge-list format; covers in the path-cover
-format. Exit codes: 0 ok, 1 input error, 2 verification failure, 3 internal
-invariant violation. DAGWIDTH_DEBUG=1 turns on per-insertion auditing and
-trace lines.
+format. Every output names vertices by the labels of the input, even when
+those are sparse. Exit codes: 0 ok, 1 input error, 2 verification failure,
+3 internal invariant violation. DAGWIDTH_DEBUG=1 turns on per-insertion
+auditing and trace lines.
 """
 from __future__ import annotations
 
@@ -28,9 +29,20 @@ EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
 
 
-def _read_graph(path: str) -> Dag:
+def _read_graph(path: str) -> tuple[Dag, list[int]]:
+    """The graph on dense ids, and mapping[id] = the input's label for id."""
     with open(path, "r", encoding="utf-8") as fh:
-        return io.parse_edge_list(fh.read())
+        return io.parse_edge_list(fh.read(), want_mapping=True)
+
+
+def _labelled(cover: PathCover, mapping: list[int]) -> PathCover:
+    return PathCover([[mapping[v] for v in path] for path in cover.paths])
+
+
+def _edge_list_text(n: int, edges, mapping: list[int]) -> str:
+    lines = [f"{n} {len(edges)}"]
+    lines.extend(f"{mapping[u]} {mapping[v]}" for u, v in edges)
+    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -51,7 +63,7 @@ def _verify_cover(dag: Dag, cover: PathCover, expect_minimum: bool) -> list[str]
 
 
 def cmd_mpc(args) -> int:
-    dag = _read_graph(args.input)
+    dag, mapping = _read_graph(args.input)
     t0 = time.perf_counter()
     result = solve(dag, variant=args.variant)
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -60,7 +72,7 @@ def cmd_mpc(args) -> int:
         if problems:
             print("; ".join(problems), file=sys.stderr)
             return EXIT_VERIFY
-    _emit(io.format_path_cover(result.cover), args.out)
+    _emit(io.format_path_cover(_labelled(result.cover, mapping)), args.out)
     if args.stats:
         print(f"k={result.cover.size} length={result.cover.length} "
               f"ms={elapsed:.2f} charges={result.charges['total_units']} "
@@ -69,7 +81,7 @@ def cmd_mpc(args) -> int:
 
 
 def cmd_antichain(args) -> int:
-    dag = _read_graph(args.input)
+    dag, mapping = _read_graph(args.input)
     result = solve(dag, variant=args.variant)
     members = max_antichain(dag, result.cover)
     if args.verify:
@@ -79,12 +91,12 @@ def cmd_antichain(args) -> int:
         if problems:
             print("; ".join(problems), file=sys.stderr)
             return EXIT_VERIFY
-    _emit(io.format_antichain(members), args.out)
+    _emit(io.format_antichain(mapping[v] for v in members), args.out)
     return EXIT_OK
 
 
 def cmd_mcc(args) -> int:
-    dag = _read_graph(args.input)
+    dag, mapping = _read_graph(args.input)
     result = solve(dag, variant=args.variant)
     chains = chain_cover_from_mpc(dag, result.cover)
     if args.verify:
@@ -100,12 +112,12 @@ def cmd_mcc(args) -> int:
         if problems:
             print("; ".join(problems), file=sys.stderr)
             return EXIT_VERIFY
-    _emit(io.format_path_cover(chains), args.out)
+    _emit(io.format_path_cover(_labelled(chains, mapping)), args.out)
     return EXIT_OK
 
 
 def cmd_sparsify(args) -> int:
-    dag = _read_graph(args.input)
+    dag, mapping = _read_graph(args.input)
     result = solve(dag, variant=args.variant)
     sparse = sparsify_all(dag, result.cover)
     if args.verify:
@@ -115,12 +127,12 @@ def cmd_sparsify(args) -> int:
         if problems:
             print("; ".join(problems), file=sys.stderr)
             return EXIT_VERIFY
-    _emit(io.format_edge_list(sparse), args.out)
+    _emit(_edge_list_text(sparse.n, sparse.edges(), mapping), args.out)
     return EXIT_OK
 
 
 def cmd_thin(args) -> int:
-    dag = _read_graph(args.input)
+    dag, mapping = _read_graph(args.input)
     result = solve(dag, variant=args.variant)
     thinned = thin(dag, result.cover)
     support = sorted(cover_support(thinned))
@@ -133,12 +145,10 @@ def cmd_thin(args) -> int:
         if problems:
             print("; ".join(problems), file=sys.stderr)
             return EXIT_VERIFY
-    lines = [f"{dag.n} {len(support)}"]
-    lines.extend(f"{u} {v}" for u, v in support)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_edge_list_text(dag.n, support, mapping), args.out)
     if args.cover_out:
         with open(args.cover_out, "w", encoding="utf-8") as fh:
-            fh.write(io.format_path_cover(thinned))
+            fh.write(io.format_path_cover(_labelled(thinned, mapping)))
     return EXIT_OK
 
 

@@ -171,7 +171,6 @@ class SolverState:
         self.backlink = list(range(n))
         self.newlink = [0] * n
         self.newlink_epoch = [0] * n
-        self.updated_epoch = [0] * n
         self.authoritative = bytearray(n)  # id valid even while not antichain
         # instrumentation
         self.charge_units = 0
@@ -297,11 +296,8 @@ class SolverState:
         self.count += 1
         self.f_size += 1  # tentative; drops back if a decrementing path exists
 
-    def layered_search(self, v: int) -> TraversalResult:
-        """Search for a decrementing path, one BFS per layer, highest first."""
-        return self._search(v)
-
     def _search(self, v: int) -> TraversalResult:
+        """Search for a decrementing path, one BFS per layer, highest first."""
         self.epoch += 1
         epoch = self.epoch
         enq = self.enq_epoch
@@ -622,7 +618,6 @@ class SolverState:
                 # walk drained into the source: anchor heads its path
                 fresh += 1
                 self.path_id[anchor] = fresh
-                self.updated_epoch[anchor] = it
                 self.backlink[anchor] = anchor
                 self.authoritative[anchor] = 1
             pid = self.path_id[anchor]
@@ -632,7 +627,6 @@ class SolverState:
                 self.authoritative[x] = 0
                 if lv[2 * x] < lv[2 * x + 1]:
                     self.path_id[x] = pid
-                    self.updated_epoch[x] = it
                     carrier = x
             nxt = -1
             for x in reversed(seq):

@@ -11,6 +11,17 @@ cycle, draining multiplicity from that side until an edge disappears. The
 sum of squared multiplicities grows by at least the cycle length per pass,
 which bounds the total splicing work. When no red cycle remains, the red
 edges form a forest and the support is provably below 2|V| edges.
+
+The cycle search is amortised over the whole thinning. Splicing moves
+occurrences between nodes in place and never creates a support edge, so
+between two searches the red graph only loses edges and vertices only turn
+from red to blue, and the set of processed edges only grows. The red
+adjacency is therefore built and sorted once, and the depth-first search
+keeps its stack, cursors and visited set from one call to the next: a call
+cuts the stack back to the first tree edge that vanished or the first
+vertex that turned blue, then resumes. A restart from scratch would replay
+exactly the surviving stack prefix, so both find the same cycles, while
+each adjacency entry is scanned a bounded number of times per cut.
 """
 from __future__ import annotations
 
@@ -47,27 +58,54 @@ class SupportGraph:
     occ maps each distinct directed edge to the tail nodes realizing it, in
     insertion order. degree counts distinct incident edges per vertex; a
     vertex is red iff its degree exceeds two. processed edges are those the
-    cycle search has exhausted or deleted.
+    cycle search has exhausted or deleted. _phi is the running sum of
+    squared multiplicities.
     """
 
     def __init__(self, cover: PathCover, n: int):
         self.n = n
-        self._serial = 0
         self.occ: dict[tuple[int, int], dict[int, _Node]] = {}
         self.degree: dict[int, int] = {}
         self.heads: list[_Node] = []
         self.processed: set[tuple[int, int]] = set()
+        # resumable cycle search state, see find_red_cycle
+        self._adj: dict[int, list[tuple[int, tuple[int, int]]]] | None = None
+        self._roots: list[int] = []
+        self._root_idx = 0
+        self._stack: list[int] = []
+        self._pos: dict[int, int] = {}
+        self._cursor: dict[int, int] = {}
+        self._parent_edge: dict[int, tuple[int, int] | None] = {}
+        self._visited: set[int] = set()
+        self._vanished: list[tuple[int, int]] = []  # emptied since last search
+        # the only place support edges are created
+        occ = self.occ
+        serial = 0
         for path in cover.paths:
             prev: _Node | None = None
             for v in path:
-                node = self._new_node(v)
+                node = _Node(v, serial)
+                serial += 1
                 if prev is None:
                     self.heads.append(node)
                 else:
                     prev.next = node
                     node.prev = prev
-                    self._register((prev.vertex, v), prev)
+                    edge = (prev.vertex, v)
+                    entry = occ.get(edge)
+                    if entry is None:
+                        occ[edge] = {prev.serial: prev}
+                    else:
+                        entry[prev.serial] = prev
                 prev = node
+        self._serial = serial
+        degree = self.degree
+        phi = 0
+        for (u, v), entry in occ.items():
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+            phi += len(entry) ** 2
+        self._phi = phi
 
     # ------------------------------------------------------------- plumbing
 
@@ -77,23 +115,29 @@ class SupportGraph:
         return node
 
     def _register(self, edge: tuple[int, int], tail: _Node) -> None:
-        entry = self.occ.get(edge)
-        if entry is None:
-            self.occ[edge] = {tail.serial: tail}
-            self.processed.discard(edge)
-            for x in edge:
-                self.degree[x] = self.degree.get(x, 0) + 1
-        else:
-            entry[tail.serial] = tail
+        """Add an occurrence of a support edge. Thinning never creates or
+        revives an edge, so a missing one raises KeyError."""
+        entry = self.occ[edge]
+        self._phi += 2 * len(entry) + 1
+        entry[tail.serial] = tail
 
     def _unregister(self, edge: tuple[int, int], tail: _Node) -> None:
         entry = self.occ[edge]
+        self._phi -= 2 * len(entry) - 1
         del entry[tail.serial]
         if not entry:
             del self.occ[edge]
             self.processed.add(edge)
+            self._vanished.append(edge)
             for x in edge:
                 self.degree[x] -= 1
+
+    def _move(self, edge: tuple[int, int], src: _Node, dst: _Node) -> None:
+        """Hand one occurrence of edge from src to dst. The multiplicity,
+        and with it degree, processed and phi, stays as it was."""
+        entry = self.occ[edge]
+        del entry[src.serial]
+        entry[dst.serial] = dst
 
     def mu(self, edge: tuple[int, int]) -> int:
         entry = self.occ.get(edge)
@@ -103,7 +147,7 @@ class SupportGraph:
         return self.degree.get(v, 0) > 2
 
     def phi(self) -> int:
-        return sum(len(entry) ** 2 for entry in self.occ.values())
+        return self._phi
 
     def to_cover(self) -> PathCover:
         paths = []
@@ -149,11 +193,9 @@ class SupportGraph:
             b_u.next = nxt
             if nxt is not None:
                 nxt.prev = b_u
-            self._unregister((u, v), b_u)
-            self._register((u, v), x)
+            self._move((u, v), b_u, x)
             if nxt is not None:
-                self._unregister((u, nxt.vertex), x)
-                self._register((u, nxt.vertex), b_u)
+                self._move((u, nxt.vertex), x, b_u)
             chain.append(b_v)
         return chain
 
@@ -162,11 +204,74 @@ class SupportGraph:
     def find_red_cycle(self) -> RedCycle | None:
         """Depth-first search over red edges for a cycle of red vertices.
 
-        Starts from the lowest-id red vertex owning an unprocessed red edge;
-        adjacency follows canonical edge order with processed edges skipped.
-        Edges are marked processed when backtracked over, and a detected
-        cycle is returned without processing its edges.
+        Roots are taken in increasing id order among the vertices that had a
+        red edge at the first call; adjacency follows canonical edge order
+        with processed and no longer red edges skipped. Edges are marked
+        processed when backtracked over. The search resumes where the last
+        call stopped: a detected cycle is returned with the cursor left on
+        its closing edge and without processing its edges, so a repeat call
+        with no elimination in between returns the same cycle.
         """
+        if self._adj is None:
+            self._build_search()
+        else:
+            self._cut_stack()
+        adj = self._adj
+        processed = self.processed
+        degree = self.degree
+        roots = self._roots
+        stack = self._stack
+        pos = self._pos
+        cursor = self._cursor
+        parent_edge = self._parent_edge
+        visited = self._visited
+        while True:
+            if not stack:
+                while self._root_idx < len(roots):
+                    root = roots[self._root_idx]
+                    self._root_idx += 1
+                    if root not in visited and degree[root] > 2:
+                        break
+                else:
+                    return None
+                visited.add(root)
+                stack.append(root)
+                pos[root] = 0
+                parent_edge[root] = None
+                cursor[root] = 0
+            v = stack[-1]
+            entries = adj[v]
+            pe = parent_edge[v]
+            i = cursor[v]
+            advanced = False
+            while i < len(entries):
+                w, edge = entries[i]
+                if edge in processed or edge == pe or degree[w] <= 2:
+                    i += 1
+                    continue
+                if w in pos:
+                    cursor[v] = i
+                    return RedCycle(stack[pos[w]:])
+                i += 1
+                if w in visited:
+                    continue
+                visited.add(w)
+                pos[w] = len(stack)
+                stack.append(w)
+                parent_edge[w] = edge
+                cursor[w] = 0
+                advanced = True
+                break
+            cursor[v] = i
+            if not advanced:
+                stack.pop()
+                del pos[v]
+                if pe is not None:
+                    processed.add(pe)
+
+    def _build_search(self) -> None:
+        """Sorted adjacency of the red graph as it stands; later calls only
+        ever see a subgraph of it."""
         adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
         for edge in self.occ:
             u, v = edge
@@ -175,42 +280,31 @@ class SupportGraph:
                 adj.setdefault(v, []).append((u, edge))
         for entries in adj.values():
             entries.sort()
-        visited: set[int] = set()
-        for root in sorted(adj):
-            if root in visited:
-                continue
-            visited.add(root)
-            stack = [root]
-            pos = {root: 0}
-            parent_edge: dict[int, tuple[int, int] | None] = {root: None}
-            cursor = {root: 0}
-            while stack:
-                v = stack[-1]
-                entries = adj.get(v, ())
-                advanced = False
-                while cursor[v] < len(entries):
-                    w, edge = entries[cursor[v]]
-                    cursor[v] += 1
-                    if edge in self.processed or edge == parent_edge[v]:
-                        continue
-                    if w in pos:
-                        return RedCycle(stack[pos[w]:])
-                    if w in visited:
-                        continue
-                    visited.add(w)
-                    stack.append(w)
-                    pos[w] = len(stack) - 1
-                    parent_edge[w] = edge
-                    cursor[w] = 0
-                    advanced = True
-                    break
-                if not advanced:
-                    stack.pop()
-                    del pos[v]
-                    pe = parent_edge[v]
-                    if pe is not None:
-                        self.processed.add(pe)
-        return None
+        self._adj = adj
+        self._roots = sorted(adj)
+        self._vanished.clear()
+
+    def _cut_stack(self) -> None:
+        """Pop the stack down to below its first vertex whose tree edge
+        vanished or which turned blue since the last call. Only endpoints of
+        vanished edges lose degree, so the vanished edges name every
+        candidate. Cut vertices become unvisited, as in a fresh search."""
+        pos = self._pos
+        parent_edge = self._parent_edge
+        degree = self.degree
+        stack = self._stack
+        cut = len(stack)
+        for edge in self._vanished:
+            for x in edge:
+                p = pos.get(x)
+                if p is not None and p < cut and (
+                        parent_edge[x] == edge or degree[x] <= 2):
+                    cut = p
+        self._vanished.clear()
+        for x in stack[cut:]:
+            del pos[x]
+            self._visited.discard(x)
+        del stack[cut:]
 
     def eliminate_red_cycle(self, cycle: RedCycle, record: list | None = None):
         """Splice along one side of the cycle until a support edge vanishes.
@@ -238,6 +332,8 @@ class SupportGraph:
         for v in cyc:
             if not self.is_red(v):
                 raise NotARedCycle(f"vertex {v} is not red")
+        if len(set(cyc)) != length:
+            raise NotARedCycle("a red cycle visits no vertex twice")
         if all(orient) or not any(orient):
             raise NotARedCycle("cycle orientation has no mixed edges")
 
@@ -268,54 +364,41 @@ class SupportGraph:
                 j += 1
             runs.append((drained[i], i, j))
             i = j + 1
+        # the cycle is fixed for the whole elimination
+        drained_runs = [run_vertices(p, q) for flag, p, q in runs if flag]
+        kept_runs = [run_vertices(p, q) for flag, p, q in runs if not flag]
+        drained_support = [e for verts in drained_runs
+                           for e in zip(verts, verts[1:])]
 
-        drained_edges = sum(1 for d in drained if d)
+        occ = self.occ
         while True:
-            phi_before = self.phi() if record is not None else 0
-            self._one_pass(runs, run_vertices)
+            phi_before = self._phi
+            self._one_pass(drained_runs, kept_runs)
             if record is not None:
-                record.append((self.phi() - phi_before, length, drained_edges))
-            done = False
-            for flag, p, q in runs:
-                if not flag:
-                    continue
-                verts = run_vertices(p, q)
-                for e in zip(verts, verts[1:]):
-                    if self.mu(e) == 0:
-                        done = True
-            if done:
+                record.append((self._phi - phi_before, length,
+                               len(drained_support)))
+            if any(e not in occ for e in drained_support):
                 break
 
-    def _one_pass(self, runs, run_vertices) -> None:
+    def _one_pass(self, drained_runs, kept_runs) -> None:
         """One splice pass: make every drained run contiguous on some path,
-        detach it, and reroute the loose ends through the kept runs."""
-        chains: dict[int, list[_Node]] = {}
+        detach it, and reroute the loose ends through the kept runs. Runs
+        are directed vertex lists."""
+        chains = [self.splice_chain(verts) for verts in drained_runs]
         start_node: dict[int, _Node] = {}
         end_node: dict[int, _Node] = {}
-        for flag, p, q in runs:
-            if not flag:
-                continue
-            verts = run_vertices(p, q)
-            chain = self.splice_chain(verts)
-            chains[p] = chain
+        for verts, chain in zip(drained_runs, chains):
             start_node[verts[0]] = chain[0]
             end_node[verts[-1]] = chain[-1]
         # detach the drained chains; their interior nodes fall out of every
         # path, which is safe because red vertices keep other covered edges
-        for flag, p, q in runs:
-            if not flag:
-                continue
-            verts = run_vertices(p, q)
-            chain = chains[p]
+        for verts, chain in zip(drained_runs, chains):
             for i, e in enumerate(zip(verts, verts[1:])):
                 self._unregister(e, chain[i])
         # reconnect through the kept runs: the prefix arriving at a drained
         # run's start continues along the kept run to the suffix leaving the
         # matching drained run's end
-        for flag, p, q in runs:
-            if flag:
-                continue
-            verts = run_vertices(p, q)
+        for verts in kept_runs:
             left = start_node[verts[0]]
             right = end_node[verts[-1]]
             prev = left

@@ -148,3 +148,46 @@ def test_verify_rejects_corrupted_cover(d4):
             b in d4.out_adj[a] for p in mutated for a, b in zip(p, p[1:]))
         if covered != {0, 1, 2, 3} or not edges_ok:
             assert not report.ok
+
+
+# Sparse labels 5 < 17 < 30 < 99 stand for the dense ids 0 < 1 < 2 < 3.
+SPARSE_LABELS = [5, 17, 30, 99]
+SPARSE_TEXT = "4 5\n5 17\n5 30\n17 99\n30 99\n5 99\n"
+DENSE_TEXT = "4 5\n0 1\n0 2\n1 3\n2 3\n0 3\n"
+
+
+def _relabel(text: str, header: bool) -> str:
+    """Map every vertex id of a CLI output onto its sparse label; header
+    says the first line holds counts, not ids."""
+    lines = text.splitlines()
+    out = lines[:1] if header else []
+    for ln in lines[1:] if header else lines:
+        out.append(" ".join(str(SPARSE_LABELS[int(x)]) for x in ln.split()))
+    return "\n".join(out) + "\n"
+
+
+def test_mpc_answers_in_input_labels(tmp_path, capsys):
+    rc = main(["mpc", _write(tmp_path, "g.txt", "3 2\n10 50\n50 90\n")])
+    assert rc == 0
+    assert capsys.readouterr().out == "1\n10 50 90\n"
+
+
+@pytest.mark.parametrize("command,header", [
+    ("mpc", True), ("antichain", False), ("mcc", True), ("sparsify", True),
+    ("thin", True)])
+def test_sparse_ids_round_trip(tmp_path, capsys, command, header):
+    def run(text, name):
+        argv = [command, _write(tmp_path, name + ".txt", text), "--verify"]
+        if command == "thin":
+            argv += ["--cover-out", str(tmp_path / (name + "_cover.txt"))]
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    dense = run(DENSE_TEXT, "dense")
+    sparse = run(SPARSE_TEXT, "sparse")
+    assert sparse == _relabel(dense, header)
+    body = sparse.splitlines()[1:] if header else sparse.splitlines()
+    assert {int(x) for ln in body for x in ln.split()} <= set(SPARSE_LABELS)
+    if command == "thin":
+        assert (tmp_path / "sparse_cover.txt").read_text() == _relabel(
+            (tmp_path / "dense_cover.txt").read_text(), header=True)

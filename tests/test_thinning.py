@@ -9,8 +9,8 @@ from dagwidth import (PathCover, build_dag, oracle_width, remark_family,
                       solve, splice, thin, validate_cover,
                       width_preserving_sparsify)
 from dagwidth.errors import EdgeUncovered
-from dagwidth.thinning import SupportGraph, cover_support
-from tests.conftest import corpus_instance
+from dagwidth.thinning import RedCycle, SupportGraph, cover_support
+from tests.conftest import corpus_instance, dense_cover
 
 
 def test_splice_already_subpath_unchanged(d4):
@@ -130,7 +130,6 @@ def test_thin_corpus_instance(seed):
 
 def test_eliminate_passes_grow_potential():
     # redundant covers carry red cycles that lean solver covers lack
-    from tests.conftest import dense_cover
     total_passes = 0
     for seed in range(40):
         dag = corpus_instance(seed)
@@ -148,16 +147,140 @@ def test_eliminate_passes_grow_potential():
     assert total_passes > 0, "dense covers produced no red cycles at all"
 
 
+def _phi_of(cover):
+    return sum(m * m for m in cover_support(cover).values())
+
+
 def test_support_graph_phi_matches_cover():
     cover = PathCover([[0, 1, 3], [0, 2, 3], [0, 1, 3]])
     support = SupportGraph(cover, 4)
-    assert support.phi() == sum(m * m for m in cover_support(cover).values())
+    assert support.phi() == _phi_of(cover)
+    # the running value follows splices and eliminations
+    checked = 0
+    for seed in range(40):
+        dag = corpus_instance(seed)
+        if dag.n < 3:
+            continue
+        support = SupportGraph(dense_cover(dag, seed), dag.n)
+        for _ in range(3):
+            cycle = support.find_red_cycle()
+            if cycle is None:
+                break
+            support.eliminate_red_cycle(cycle)
+            assert support.phi() == _phi_of(support.to_cover()), seed
+            checked += 1
+    assert checked > 0
+
+
+def _restart_find_red_cycle(support):
+    """Reference search: rebuild the red adjacency and restart the
+    depth-first search from the lowest red root on every call. The
+    resumable SupportGraph.find_red_cycle must find the same cycles."""
+    adj: dict = {}
+    for edge in support.occ:
+        u, v = edge
+        if (edge not in support.processed and support.is_red(u)
+                and support.is_red(v)):
+            adj.setdefault(u, []).append((v, edge))
+            adj.setdefault(v, []).append((u, edge))
+    for entries in adj.values():
+        entries.sort()
+    visited: set = set()
+    for root in sorted(adj):
+        if root in visited:
+            continue
+        visited.add(root)
+        stack = [root]
+        pos = {root: 0}
+        parent_edge: dict = {root: None}
+        cursor = {root: 0}
+        while stack:
+            v = stack[-1]
+            entries = adj.get(v, ())
+            advanced = False
+            while cursor[v] < len(entries):
+                w, edge = entries[cursor[v]]
+                cursor[v] += 1
+                if edge in support.processed or edge == parent_edge[v]:
+                    continue
+                if w in pos:
+                    return RedCycle(stack[pos[w]:])
+                if w in visited:
+                    continue
+                visited.add(w)
+                stack.append(w)
+                pos[w] = len(stack) - 1
+                parent_edge[w] = edge
+                cursor[w] = 0
+                advanced = True
+                break
+            if not advanced:
+                stack.pop()
+                del pos[v]
+                pe = parent_edge[v]
+                if pe is not None:
+                    support.processed.add(pe)
+    return None
+
+
+def _cycle_sequences(cover, n):
+    """Cycles found by the resumable search and by the restarting one, each
+    side eliminating its own cycles on its own copy of the support."""
+    resumed, restarted = SupportGraph(cover, n), SupportGraph(cover, n)
+    seq_a, seq_b = [], []
+    while True:
+        a = resumed.find_red_cycle()
+        b = _restart_find_red_cycle(restarted)
+        seq_a.append(a and a.vertices)
+        seq_b.append(b and b.vertices)
+        if a is None or b is None:
+            break
+        resumed.eliminate_red_cycle(a)
+        restarted.eliminate_red_cycle(b)
+    assert resumed.to_cover().paths == restarted.to_cover().paths
+    return seq_a, seq_b
+
+
+def test_resumed_search_matches_restarted_search_dense():
+    total = 0
+    for seed in range(200):
+        dag = corpus_instance(seed)
+        if dag.n == 0:
+            continue
+        seq_a, seq_b = _cycle_sequences(dense_cover(dag, seed), dag.n)
+        assert seq_a == seq_b, seed
+        total += len(seq_a) - 1
+    assert total > 0, "dense covers produced no red cycles at all"
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_resumed_search_matches_restarted_search_remark(n):
+    fam = remark_family(n)
+    seq_a, seq_b = _cycle_sequences(solve(fam).cover, fam.n)
+    assert seq_a == seq_b
+
+
+def test_find_red_cycle_repeats_without_elimination():
+    repeated = 0
+    for seed in range(40):
+        dag = corpus_instance(seed)
+        if dag.n < 3:
+            continue
+        support = SupportGraph(dense_cover(dag, seed), dag.n)
+        while True:
+            cycle = support.find_red_cycle()
+            again = support.find_red_cycle()
+            assert (cycle and cycle.vertices) == (again and again.vertices)
+            if cycle is None:
+                break
+            repeated += 1
+            support.eliminate_red_cycle(cycle)
+    assert repeated > 0
 
 
 def test_eliminate_red_cycle_direct():
     from dagwidth import eliminate_red_cycle
     from dagwidth.errors import NotARedCycle
-    from dagwidth.thinning import RedCycle
     # K4-ish support where 0,1,2,3 all have degree 3: a red cycle exists
     dag = build_dag(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     cover = PathCover([[0, 1, 2, 3], [0, 2], [1, 3], [0, 3], [0, 1], [2, 3]])
@@ -173,6 +296,12 @@ def test_eliminate_red_cycle_direct():
     # a single backward edge with multiplicity one disappears in one pass
     with pytest.raises(NotARedCycle):
         eliminate_red_cycle(support, RedCycle([0, 1]))
+    # every check but simplicity passes: red vertices, support edges, and
+    # mixed orientation along 0 -> 1 -> 2 <- 0
+    fresh = SupportGraph(cover, 4)
+    with pytest.raises(NotARedCycle):
+        eliminate_red_cycle(fresh, RedCycle([0, 1, 2, 0, 1, 2]))
+    assert fresh.to_cover().paths == cover.paths
 
 
 def test_width_preserving_sparsify_d4(d4):
