@@ -19,13 +19,17 @@ auditor after every insertion:
   C. layered-cut demands strictly decrease with the level.
 
 Two bookkeeping variants answer "id of some cover path containing u"
-queries for the sparsifier. K3 maintains the flow decomposition explicitly,
-re-pairing path suffixes inside the updated region. K2 stores a path id
-only on antichain vertices (splits that cross a layered cut) plus flagged
-path heads, and a back link from every other vertex to such a vertex
-preceding it on its path; after an update, links and ids at levels >= l
-are re-derived from backward walks over that region's flow, whose anchors
-below the region kept valid ids. Link maintenance also runs after failed
+queries for the sparsifier. Both read the updated region's flow through one
+decomposition, `_decompose_region(l)`: a backward walk from every end
+vertex at levels >= l down past level l, with the units each walk consumes
+counted in epoch-stamped per-vertex and per-edge arrays, so one raise of
+the stamp base resets them. K3 maintains the flow decomposition
+explicitly, re-pairing the stored paths' prefixes with the walks as new
+suffixes. K2 stores a path id only on antichain vertices (splits that cross
+a layered cut) plus flagged path heads, and a back link from every other
+vertex to such a vertex preceding it on its path; after an update, links
+and ids at levels >= l are re-derived from the walks, whose anchors below
+the region kept valid ids. Link maintenance also runs after failed
 searches: a failure drags visited vertices to level 0 and may demote
 back-link targets (failures happen at most width-many times, so this stays
 inside the charged budget).
@@ -163,6 +167,11 @@ class SolverState:
         self.enq_epoch = [0] * (2 * n)
         self.epoch = 0
         self.survivors = SurvivorArray(0)
+        # walk consumption, stamped once per region decomposition
+        self.split_used = [0] * n
+        self.srcin_used = [0] * n
+        self.cross_used: list[int] = []
+        self.walk_base = 0
         # K3 bookkeeping
         self.paths: list[list[int]] = []
         self.path_of = [0] * n
@@ -288,6 +297,7 @@ class SolverState:
             self.cross_tail.append(u)
             self.cross_head.append(v)
             self.cross_f.append(0)
+            self.cross_used.append(0)
             self.in_cross[v].append(eid)
         self.split_f[v] = 1
         self.srcin_f[v] = 1
@@ -493,17 +503,17 @@ class SolverState:
     # --------------------------------------------------------- K3 bookkeeping
 
     def _k3_repair(self, l: int) -> None:
-        """Re-decompose the flow on levels >= l and rejoin the cover prefixes."""
+        """Re-decompose the flow on levels >= l and rejoin the cover prefixes.
+
+        Runs only after a found path, so l >= 1: the path ends at an end
+        vertex's out-half, which lies above level 0 (invariant B), and every
+        stored path keeps a prefix below the region.
+        """
         lv = self.lv
-        if l == 0:
-            self._k3_rebuild_all()
-            return
-        consumed: dict = {}
+        path_of = self.path_of
+        walks = self._decompose_region(l)
         suffix_at: dict[int, list[int]] = {}
-        for u in sorted(self.end_set):
-            if lv[2 * u + 1] < l:
-                continue
-            suffix = self._walk_back(u, l, consumed)
+        for suffix in walks:
             boundary = suffix[0]
             if boundary in suffix_at:
                 raise InvariantViolation("two suffixes at one boundary vertex")
@@ -521,82 +531,92 @@ class SolverState:
             suffix = suffix_at.pop(path[j])
             path[j + 1:] = suffix[1:]
             for x in suffix[1:]:
-                self.path_of[x] = pid
+                path_of[x] = pid
         if suffix_at:
             raise InvariantViolation("unmatched flow suffixes after repair")
 
-    def _k3_rebuild_all(self) -> None:
-        consumed: dict = {}
-        self.paths = []
-        for u in sorted(self.end_set):
-            path = self._walk_back(u, 0, consumed)
-            self.paths.append(path)
-            pid = len(self.paths)
-            for x in path:
-                self.path_of[x] = pid
-
-    def _walk_back(self, end: int, l: int, consumed: dict) -> list[int]:
-        """Backward flow walk from `end`'s out-vertex down past level l.
-
-        Consumes one unit per edge walked (shared across one repair via
-        `consumed`) and returns base vertices in path order. The first entry
-        is the vertex whose in-half lies below level l, or the path's head
-        vertex when the walk drains into the source (always the case at
-        l = 0).
-        """
-        lv = self.lv
-        seq = []
-        u = end
-        while True:
-            key = ("sp", u)
-            if self.split_f[u] - consumed.get(key, 0) < 1:
-                raise InvariantViolation(f"split flow exhausted at {u}")
-            consumed[key] = consumed.get(key, 0) + 1
-            seq.append(u)
-            if lv[2 * u] < l:
-                break
-            skey = ("si", u)
-            if self.srcin_f[u] - consumed.get(skey, 0) > 0:
-                consumed[skey] = consumed.get(skey, 0) + 1
-                break
-            eid = -1
-            for e in self.in_cross[u]:
-                if self.cross_f[e] - consumed.get(("cr", e), 0) > 0:
-                    eid = e
-                    break
-            if eid < 0:
-                raise InvariantViolation(f"no positive in-edge at {u}")
-            consumed[("cr", eid)] = consumed.get(("cr", eid), 0) + 1
-            u = self.cross_tail[eid]
-        seq.reverse()
-        return seq
-
-    # --------------------------------------------------------- K2 bookkeeping
+    # ------------------------------------------------------- region walks
 
     def _decompose_region(self, l: int) -> list[list[int]]:
         """Decompose the flow on all levels at or above l into walks.
 
-        One backward walk per end vertex in the region, each running from a
-        boundary vertex below level l (or the path's head vertex when the
-        walk drains into the source, always the case at l = 0) up to its end
-        vertex. Walks start from the smallest end vertices and take the
-        lowest-id positive in-edge, so the result is deterministic. Flow
-        below level l is untouched.
+        The one walk loop of both variants: K2 derives its links from the
+        walks, K3 its cover paths. One backward walk per end vertex in the
+        region, each running from a boundary vertex below level l (or the
+        path's head vertex when the walk drains into the source, always the
+        case at l = 0) up to its end vertex. Walks start from the smallest
+        end vertices and take the lowest-id positive in-edge, so the result
+        is deterministic. Flow below level l is untouched.
 
-        Decomposing the whole region rather than only layer l is deliberate:
+        Raising the consumption base forgets every unit the previous
+        decomposition consumed: a walk consumes at most an edge's flow, and
+        no edge of an acyclic flow carries more than n units.
+
+        K2 decomposes the whole region rather than only layer l on purpose:
         a single new-link slot per vertex is not enough to redirect every
         stale pointer when a decrementing path pushes a second flow unit
         through a demoted antichain vertex, since its two walks can exit at
         different crossings. Deriving all links in the region from actual
         walks removes the ambiguity.
         """
+        self.walk_base += self.n + 1
         lv = self.lv
-        consumed: dict = {}
-        walks: list[list[int]] = []
-        for e in sorted(self.end_set):
-            if lv[2 * e + 1] >= l:
-                walks.append(self._walk_back(e, l, consumed))
-        return walks
+        walk = self._walk_back
+        return [walk(e, l) for e in sorted(self.end_set) if lv[2 * e + 1] >= l]
+
+    def _walk_back(self, end: int, l: int) -> list[int]:
+        """Backward flow walk from `end`'s out-vertex down past level l.
+
+        Consumes one unit per edge walked and returns base vertices in path
+        order. The first entry is the vertex whose in-half lies below level
+        l, or the path's head vertex when the walk drains into the source
+        (always the case at l = 0). Consumption is shared by the walks of
+        one region decomposition: each of `split_used`, `srcin_used` (per
+        vertex) and `cross_used` (per cross edge) holds `walk_base` plus the
+        units consumed, and any value below `walk_base` means none.
+        """
+        lv = self.lv
+        split_f = self.split_f
+        srcin_f = self.srcin_f
+        cross_f = self.cross_f
+        cross_tail = self.cross_tail
+        in_cross = self.in_cross
+        split_used = self.split_used
+        srcin_used = self.srcin_used
+        cross_used = self.cross_used
+        base = self.walk_base
+        seq = []
+        u = end
+        while True:
+            c = split_used[u]
+            if c < base:
+                c = base
+            if c - base >= split_f[u]:
+                raise InvariantViolation(f"split flow exhausted at {u}")
+            split_used[u] = c + 1
+            seq.append(u)
+            if lv[2 * u] < l:
+                break
+            c = srcin_used[u]
+            if c < base:
+                c = base
+            if c - base < srcin_f[u]:
+                srcin_used[u] = c + 1
+                break
+            for e in in_cross[u]:
+                c = cross_used[e]
+                if c < base:
+                    c = base
+                if c - base < cross_f[e]:
+                    cross_used[e] = c + 1
+                    u = cross_tail[e]
+                    break
+            else:
+                raise InvariantViolation(f"no positive in-edge at {u}")
+        seq.reverse()
+        return seq
+
+    # --------------------------------------------------------- K2 bookkeeping
 
     def maintain_backlinks(self, l: int, layer_paths: list[list[int]]) -> None:
         """Rebuild back links, new links and antichain path ids from walks.

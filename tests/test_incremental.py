@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from dagwidth import (build_dag, oracle_width, reaches, remark_family, solve,
-                      validate_cover)
-from dagwidth.errors import OrderViolation
+from dagwidth import (PathCover, build_dag, gen_random_dag, oracle_width,
+                      reaches, remark_family, shrink, solve, validate_cover)
+from dagwidth.errors import InvariantViolation, OrderViolation
 from dagwidth.incremental import SolverState
 from tests.conftest import corpus_instance
 
@@ -203,18 +205,21 @@ def test_regression_merge_demotes_anchor():
         assert result.cover.size == oracle_width(dag)
 
 
+# the decrementing path pushes a second unit through demoted antichain
+# vertices, so per-vertex new links alone cannot redirect stale pointers
+DOUBLED_SPLIT_EDGES = [
+    (1, 19), (2, 9), (3, 9), (4, 22), (5, 9), (5, 13), (5, 18),
+    (6, 17), (7, 24), (8, 11), (9, 0), (9, 7), (10, 1), (10, 18),
+    (10, 25), (11, 30), (13, 35), (14, 23), (14, 26), (15, 20),
+    (15, 33), (16, 0), (17, 10), (17, 25), (18, 2), (19, 4),
+    (19, 5), (20, 14), (20, 28), (20, 30), (21, 2), (21, 3),
+    (21, 6), (21, 22), (22, 3), (24, 15), (24, 33), (25, 18),
+    (26, 8), (27, 29), (28, 34), (29, 21), (30, 12), (31, 12),
+    (32, 3), (32, 25), (34, 14), (35, 32)]
+
+
 def test_regression_decrementing_path_doubles_split_flow():
-    # the decrementing path pushes a second unit through demoted antichain
-    # vertices, so per-vertex new links alone cannot redirect stale pointers
-    edges = [(1, 19), (2, 9), (3, 9), (4, 22), (5, 9), (5, 13), (5, 18),
-             (6, 17), (7, 24), (8, 11), (9, 0), (9, 7), (10, 1), (10, 18),
-             (10, 25), (11, 30), (13, 35), (14, 23), (14, 26), (15, 20),
-             (15, 33), (16, 0), (17, 10), (17, 25), (18, 2), (19, 4),
-             (19, 5), (20, 14), (20, 28), (20, 30), (21, 2), (21, 3),
-             (21, 6), (21, 22), (22, 3), (24, 15), (24, 33), (25, 18),
-             (26, 8), (27, 29), (28, 34), (29, 21), (30, 12), (31, 12),
-             (32, 3), (32, 25), (34, 14), (35, 32)]
-    dag = build_dag(36, edges)
+    dag = build_dag(36, DOUBLED_SPLIT_EDGES)
     for variant in ("k2", "k3"):
         result = solve(dag, variant=variant, debug=True)
         assert result.cover.size == oracle_width(dag)
@@ -238,3 +243,191 @@ def test_trace_lines(d4, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4
     assert lines[0] == "i=0 found=False l=0 |f|=1 merge=False"
+
+
+# ------------------------------------------------------------ region walks
+
+def _reference_walk_back(state, end, l, consumed):
+    """The backward walk with consumption kept in a tuple-keyed dict."""
+    lv = state.lv
+    seq = []
+    u = end
+    while True:
+        key = ("sp", u)
+        if state.split_f[u] - consumed.get(key, 0) < 1:
+            raise InvariantViolation(f"split flow exhausted at {u}")
+        consumed[key] = consumed.get(key, 0) + 1
+        seq.append(u)
+        if lv[2 * u] < l:
+            break
+        skey = ("si", u)
+        if state.srcin_f[u] - consumed.get(skey, 0) > 0:
+            consumed[skey] = consumed.get(skey, 0) + 1
+            break
+        eid = -1
+        for e in state.in_cross[u]:
+            if state.cross_f[e] - consumed.get(("cr", e), 0) > 0:
+                eid = e
+                break
+        if eid < 0:
+            raise InvariantViolation(f"no positive in-edge at {u}")
+        consumed[("cr", eid)] = consumed.get(("cr", eid), 0) + 1
+        u = state.cross_tail[eid]
+    seq.reverse()
+    return seq
+
+
+def _reference_decompose_region(state, l):
+    consumed: dict = {}
+    return [_reference_walk_back(state, e, l, consumed)
+            for e in sorted(state.end_set) if state.lv[2 * e + 1] >= l]
+
+
+def _solve_checking_walks(dag, variant):
+    """Solve, comparing every region decomposition with the reference walk.
+
+    Walks only read the flow, so the reference runs first on the same flow
+    the solver's own decomposition then sees. Returns the levels the
+    decompositions ran at and the most walks that passed through one vertex
+    in one decomposition.
+    """
+    state = SolverState(dag, variant)
+    decompose = state._decompose_region
+    levels: list[int] = []
+    most = 0
+
+    def checked(l):
+        nonlocal most
+        want = _reference_decompose_region(state, l)
+        got = decompose(l)
+        assert got == want, (variant, state.count, l)
+        levels.append(l)
+        seen: dict[int, int] = {}
+        for walk in got:
+            for x in walk:
+                seen[x] = seen.get(x, 0) + 1
+        most = max([most, *seen.values()])
+        return got
+
+    state._decompose_region = checked
+    for v in dag.topo:
+        state.insert_vertex(v, dag.in_adj[v])
+    assert state.result().cover.size == state.f_size
+    return levels, most
+
+
+def _differential_dags():
+    """Graphs with the most walks one vertex carries, where that is known."""
+    for seed in range(200):
+        yield corpus_instance(seed), None
+    for s in (1, 2, 3):
+        yield gen_random_dag(300, 30, 0.5, s), None
+    for n in range(2, 9):
+        yield remark_family(n), n  # every hub carries n units of split flow
+    yield build_dag(36, DOUBLED_SPLIT_EDGES), None
+
+
+def test_region_walks_match_dict_reference():
+    for variant in ("k2", "k3"):
+        levels = []
+        for dag, hub_units in _differential_dags():
+            at, most = _solve_checking_walks(dag, variant)
+            levels += at
+            assert hub_units is None or most == hub_units, (variant, dag.n)
+        assert max(levels) >= 1, variant
+        if variant == "k3":  # K3 decomposes only after a found path
+            assert min(levels) >= 1
+    # K2 also re-derives its links after failed searches, at l = 0
+    assert 0 in _solve_checking_walks(remark_family(3), "k2")[0]
+
+
+def _solved(dag, variant):
+    state = SolverState(dag, variant)
+    for v in dag.topo:
+        state.insert_vertex(v, dag.in_adj[v])
+    return state
+
+
+@pytest.mark.parametrize("variant", ["k2", "k3"])
+def test_region_decomposition_repeats_on_unchanged_flow(variant):
+    state = _solved(remark_family(4), variant)
+    first = state._decompose_region(0)
+    assert state._decompose_region(0) == first
+    assert sum(map(len, first)) == sum(state.split_f)
+    assert len(first) == state.f_size
+
+
+@pytest.mark.parametrize("variant", ["k2", "k3"])
+def test_walks_share_a_head_with_a_source_unit(variant):
+    # h = 1 starts one cover path and continues another: 0 -> 1 -> 2 and
+    # 1 -> 3, so the second walk through h must leave by its in-edge. No
+    # solver run in the differential families reaches such a flow.
+    state = _solved(build_dag(4, [(0, 1), (1, 2), (1, 3)]), variant)
+    assert len(state.cross_f) == 3
+    state.split_f[:] = [1, 2, 1, 1]
+    state.srcin_f[:] = [1, 1, 0, 0]
+    state.outsink_f[:] = [0, 0, 1, 1]
+    state.cross_f[:] = [1, 1, 1]
+    state.end_set = {2, 3}
+    assert state._decompose_region(0) == [[1, 2], [0, 1, 3]]
+    assert _reference_decompose_region(state, 0) == [[1, 2], [0, 1, 3]]
+
+
+@pytest.mark.parametrize("variant", ["k2", "k3"])
+def test_walk_flags_missing_split_flow(variant):
+    state = _solved(remark_family(4), variant)
+    end = min(state.end_set)  # the first walk starts on its split edge
+    state.split_f[end] -= 1
+    with pytest.raises(InvariantViolation, match=f"^split flow exhausted at {end}$"):
+        state._decompose_region(0)
+
+
+@pytest.mark.parametrize("variant", ["k2", "k3"])
+def test_walk_flags_missing_cross_flow(variant):
+    state = _solved(remark_family(4), variant)
+    e = next(e for e in range(len(state.cross_f)) if state.cross_f[e] > 0)
+    head = state.cross_head[e]
+    # at l = 0 the walks pass head's split split_f[head] times, and its in-edges
+    # are one unit short of that
+    state.cross_f[e] -= 1
+    with pytest.raises(InvariantViolation, match=f"^no positive in-edge at {head}$"):
+        state._decompose_region(0)
+
+
+def _complete_bipartite_layers(sizes):
+    starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    edges = [(u, v) for i in range(len(sizes) - 1)
+             for u in range(starts[i], starts[i + 1])
+             for v in range(starts[i + 1], starts[i + 2])]
+    return build_dag(starts[-1], edges)
+
+
+def _chain_with_shortcuts(n, reach, extra, seed):
+    """A chain, edges to the next `reach` vertices and `extra` random ones."""
+    rng = random.Random(seed)
+    edges = {(i, j) for i in range(n) for j in range(i + 1, min(n, i + reach + 1))}
+    for _ in range(extra):
+        i = rng.randrange(n - 1)
+        edges.add((i, rng.randrange(i + 1, n)))
+    return build_dag(n, sorted(edges))
+
+
+STRUCTURED_FAMILIES = {
+    **{f"remark-{n}": (lambda n=n: remark_family(n)) for n in range(9, 13)},
+    "bipartite-layers-12x5": lambda: _complete_bipartite_layers([12] * 5),
+    "bipartite-layers-mixed": lambda: _complete_bipartite_layers([3, 16, 1, 9, 16, 5]),
+    "chain-shortcuts-200": lambda: _chain_with_shortcuts(200, 8, 800, 7),
+    "single-vertex": lambda: build_dag(1, []),
+    "empty": lambda: build_dag(0, []),
+}
+
+
+@pytest.mark.parametrize("family", sorted(STRUCTURED_FAMILIES))
+def test_structured_family_width(family):
+    dag = STRUCTURED_FAMILIES[family]()
+    width = oracle_width(dag)
+    for variant in ("k2", "k3"):
+        result = solve(dag, variant=variant, debug=True)
+        assert result.cover.size == width, variant
+        assert validate_cover(dag, result.cover).ok, variant
+    assert shrink(dag, PathCover([[v] for v in range(dag.n)])).size == width
