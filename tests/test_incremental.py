@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from dagwidth import (PathCover, build_dag, gen_random_dag, oracle_width,
-                      reaches, remark_family, shrink, solve, validate_cover)
+from dagwidth import (PathCover, build_dag, check_flow, decompose,
+                      flow_from_cover, gen_random_dag, oracle_width, reaches,
+                      remark_family, shrink, solve, validate_cover)
 from dagwidth.errors import InvariantViolation, OrderViolation
 from dagwidth.incremental import SolverState
 from tests.conftest import corpus_instance
@@ -14,7 +15,7 @@ from tests.conftest import corpus_instance
 def test_solve_d4_both_variants(d4):
     for variant in ("k2", "k3"):
         result = solve(d4, variant=variant, debug=True)
-        assert result.cover.size == 2
+        assert result.cover.paths == [[0, 1, 3], [2]]
         assert validate_cover(d4, result.cover).ok
         assert result.flow.size == 2
         assert result.levels.cut_demand[0] == 2
@@ -287,9 +288,10 @@ def _solve_checking_walks(dag, variant):
     """Solve, comparing every region decomposition with the reference walk.
 
     Walks only read the flow, so the reference runs first on the same flow
-    the solver's own decomposition then sees. Returns the levels the
-    decompositions ran at and the most walks that passed through one vertex
-    in one decomposition.
+    the solver's own decomposition then sees. This includes the level-0
+    decomposition that `result()` reads the cover from. Returns the levels
+    the insertions' decompositions ran at and the most walks that passed
+    through one vertex in one decomposition.
     """
     state = SolverState(dag, variant)
     decompose = state._decompose_region
@@ -312,8 +314,10 @@ def _solve_checking_walks(dag, variant):
     state._decompose_region = checked
     for v in dag.topo:
         state.insert_vertex(v, dag.in_adj[v])
+    inserting = list(levels)
     assert state.result().cover.size == state.f_size
-    return levels, most
+    assert levels[len(inserting):] == [0]
+    return inserting, most
 
 
 def _differential_dags():
@@ -392,6 +396,90 @@ def test_walk_flags_missing_cross_flow(variant):
     state.cross_f[e] -= 1
     with pytest.raises(InvariantViolation, match=f"^no positive in-edge at {head}$"):
         state._decompose_region(0)
+    with pytest.raises(InvariantViolation, match=f"^no positive in-edge at {head}$"):
+        state.result()
+
+
+# ------------------------------------------------------- result from walks
+
+def _lazy_flow_dags():
+    for seed in range(200):
+        yield corpus_instance(seed)
+    for n in range(2, 7):
+        yield remark_family(n)
+    yield build_dag(36, DOUBLED_SPLIT_EDGES)
+
+
+def test_lazy_flow_is_the_covers_flow():
+    for dag in _lazy_flow_dags():
+        for variant in ("k2", "k3"):
+            result = solve(dag, variant)
+            assert check_flow(result.network, result.flow) == [], (dag, variant)
+            assert decompose(result.network, result.flow).size == result.cover.size
+            # the cover decomposes the flow exactly
+            assert (flow_from_cover(result.network, result.cover).values
+                    == result.flow.values), (dag, variant)
+            firsts = [p[0] for p in result.cover.paths]
+            assert firsts == sorted(firsts), (dag, variant)
+
+
+@pytest.mark.parametrize("variant", ["k2", "k3"])
+def test_result_stays_frozen(variant):
+    state = _solved(remark_family(4), variant)
+    result = state.result()
+    paths = [list(p) for p in result.cover.paths]
+    e = next(e for e in range(len(state.cross_f)) if state.cross_f[e] > 0)
+    state.cross_f[e] += 1
+    state.split_f[0] += 1
+    state.f_size += 1
+    assert result.cover.paths == paths
+    assert result.flow.size == len(paths)
+    assert check_flow(result.network, result.flow) == []
+    assert flow_from_cover(result.network, result.cover).values == result.flow.values
+
+
+@pytest.mark.parametrize("variant", ["k2", "k3"])
+def test_result_flags_unused_flow(variant):
+    # a second source unit at a path head is never consumed by the walks
+    state = _solved(remark_family(4), variant)
+    head = state.result().cover.paths[0][0]
+    state.srcin_f[head] += 1
+    with pytest.raises(InvariantViolation, match="^walks do not decompose the flow$"):
+        state.result()
+
+
+@pytest.mark.parametrize("variant", ["k2", "k3"])
+def test_result_flags_unused_cross_flow(variant):
+    # walks take a vertex's positive in-edges in order, so a surplus unit on
+    # the last one is left over
+    state = _solved(remark_family(4), variant)
+    h = next(h for h in range(state.n)
+             if not state.srcin_f[h] and any(state.cross_f[e] for e in state.in_cross[h]))
+    e = [e for e in state.in_cross[h] if state.cross_f[e]][-1]
+    state.cross_f[e] += 1
+    with pytest.raises(InvariantViolation, match="^walks do not decompose the flow$"):
+        state.result()
+
+
+@pytest.mark.parametrize("variant", ["k2", "k3"])
+def test_result_flags_sink_and_size_mismatch(variant):
+    state = _solved(remark_family(4), variant)
+    inner = next(v for v in range(state.n) if v not in state.end_set)
+    state.outsink_f[inner] += 1
+    with pytest.raises(InvariantViolation, match="^walks do not end on the sink-edge flow$"):
+        state.result()
+    state.outsink_f[inner] -= 1
+    state.f_size += 1
+    with pytest.raises(InvariantViolation, match="walks for a flow of size"):
+        state.result()
+
+
+def test_result_flags_uninserted_vertex(d4):
+    state = SolverState(d4, "k3")
+    for v in (0, 1, 2):
+        state.insert_vertex(v, d4.in_adj[v])
+    with pytest.raises(InvariantViolation, match="^vertex 3 carries no split flow$"):
+        state.result()
 
 
 def _complete_bipartite_layers(sizes):
