@@ -27,6 +27,8 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
+VARIANT_HELP = ("solver bookkeeping; k2 and k3 run the same code, "
+                "k2 is kept as a name for compatibility")
 
 
 def _read_graph(path: str) -> tuple[Dag, list[int]]:
@@ -193,7 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, with_input=True):
         if with_input:
             p.add_argument("input", help="edge-list file")
-        p.add_argument("--variant", choices=["k2", "k3"], default="k2")
+        p.add_argument("--variant", choices=["k2", "k3"], default="k2",
+                       help=VARIANT_HELP)
         p.add_argument("--out", help="write output here instead of stdout")
         p.add_argument("--verify", action="store_true",
                        help="check the result before printing")
@@ -237,7 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extra", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--variant", choices=["k2", "k3"], default="k2")
+    p.add_argument("--variant", choices=["k2", "k3"], default="k2",
+                   help=VARIANT_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
     return parser

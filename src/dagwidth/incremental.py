@@ -18,25 +18,18 @@ auditor after every insertion:
      positive source edges enter level 0;
   C. layered-cut demands strictly decrease with the level.
 
-Two bookkeeping variants answer "id of some cover path containing u"
-queries for the sparsifier. Both read the updated region's flow through one
-decomposition, `_decompose_region(l)`: a backward walk from every end
-vertex at levels >= l down past level l, with the units each walk consumes
-counted in epoch-stamped per-vertex and per-edge arrays, so one raise of
-the stamp base resets them. K3 maintains the flow decomposition
-explicitly, re-pairing the stored paths' prefixes with the walks as new
-suffixes. K2 stores a path id only on antichain vertices (splits that cross
-a layered cut) plus flagged path heads, and a back link from every other
-vertex to such a vertex preceding it on its path; after an update, links
-and ids at levels >= l are re-derived from the walks, whose anchors below
-the region kept valid ids. Link maintenance also runs after failed
-searches: a failure drags visited vertices to level 0 and may demote
-back-link targets (failures happen at most width-many times, so this stays
-inside the charged budget).
+The sparsifier asks for "id of some cover path containing u". The solver
+answers from an explicit flow decomposition: the cover paths (`paths`) and
+each vertex's path id (`path_of`). After a found path it re-reads the
+updated region's flow through `_decompose_region(l)`: a backward walk from
+every end vertex at levels >= l down past level l, with the units each walk
+consumes counted in epoch-stamped per-vertex and per-edge arrays, so one
+raise of the stamp base resets them. The walks become the new suffixes of
+the stored paths' prefixes below the region. A failed search only adds a
+one-vertex path. The variant names "k2" and "k3" both select this
+bookkeeping; "k2" is kept as a name for compatibility.
 
-Path and link maintenance always runs on the pre-merge levels; the merge
-itself only relabels, except that anchors it demotes from the antichain
-structure hand their dependents over to their own predecessors.
+Path maintenance runs on the pre-merge levels; the merge only relabels.
 
 The final cover comes from the same decomposition at level 0, where every
 walk runs back to its path's head, checked to use up the flow exactly.
@@ -53,7 +46,7 @@ from typing import NamedTuple
 
 from .dag import Dag, PathCover
 from .errors import InvariantViolation, OrderViolation
-from .flow import Flow, FlowNetwork, FlowVertex
+from .flow import Flow, FlowNetwork
 from .flow import decompose  # noqa: F401  the benchmark's flow.decompose hook targets this binding
 from .sparsify import SurvivorArray
 
@@ -72,55 +65,29 @@ class LevelAssignment:
     cut_demand: list[int]
     max_level: int
 
-    def level(self, x: FlowVertex) -> float:
-        if x.kind == "source":
-            return float("-inf")
-        if x.kind == "sink":
-            return float("inf")
-        return self.level_in[x.v] if x.kind == "in" else self.level_out[x.v]
-
 
 class TraversalResult:
     """Outcome of one layered decrementing-path search.
 
     found tells whether a decrementing path exists; min_level is the
-    smallest visited level (0 after a failed search). The visited set and
-    the decrementing path are materialized lazily as FlowVertex views.
+    smallest visited level (0 after a failed search). `_popped` lists the
+    popped network vertex codes (v_in = 2v, v_out = 2v+1) in pop order;
+    `_last` is the path's last code before the sink (-1 if none), and
+    `_pred` maps each code on the path to (previous code, edge key,
+    reversed), leading back to the new vertex's in-half.
     """
 
-    __slots__ = ("min_level", "_popped", "_pred", "_last", "_vertex")
+    __slots__ = ("min_level", "_popped", "_pred", "_last")
 
-    def __init__(self, min_level: int, popped: list[int], pred: dict,
-                 last: int, vertex: int):
+    def __init__(self, min_level: int, popped: list[int], pred: dict, last: int):
         self.min_level = min_level
         self._popped = popped
         self._pred = pred
         self._last = last
-        self._vertex = vertex
 
     @property
     def found(self) -> bool:
         return self._last >= 0
-
-    @property
-    def visited(self) -> list[FlowVertex]:
-        return [_to_flow_vertex(x) for x in self._popped]
-
-    @property
-    def decrementing_path(self) -> list[tuple[FlowVertex, FlowVertex]] | None:
-        if self._last < 0:
-            return None
-        path = [(_to_flow_vertex(self._last), FlowVertex.sink())]
-        code = self._last
-        while code != _SENTINEL:
-            prev, _, _ = self._pred[code]
-            tail = (FlowVertex.vin(self._vertex) if prev == _SENTINEL
-                    else _to_flow_vertex(prev))
-            path.append((tail, _to_flow_vertex(code)))
-            code = prev
-        path.append((FlowVertex.source(), FlowVertex.vin(self._vertex)))
-        path.reverse()
-        return path
 
     def __repr__(self) -> str:
         return (f"TraversalResult(found={self.found}, "
@@ -175,10 +142,6 @@ class SolveResult:
         return Flow(values, f.size)
 
 
-def _to_flow_vertex(code: int) -> FlowVertex:
-    return FlowVertex.vout(code >> 1) if code & 1 else FlowVertex.vin(code >> 1)
-
-
 class SolverState:
     """Incremental solver state; drive it with insert_vertex in topo order."""
 
@@ -188,13 +151,11 @@ class SolverState:
             raise ValueError(f"unknown variant {variant!r}")
         n = dag.n
         self.dag = dag
-        self.variant = variant
         self.debug = debug
         self.trace = trace
         self.n = n
         self.inserted = bytearray(n)
         self.count = 0
-        self.iteration = 0
         # flow values per edge family
         self.split_f = [0] * n
         self.srcin_f = [0] * n
@@ -219,15 +180,9 @@ class SolverState:
         self.srcin_used = [0] * n
         self.cross_used: list[int] = []
         self.walk_base = 0
-        # K3 bookkeeping
+        # cover bookkeeping: the flow decomposition and each vertex's path id
         self.paths: list[list[int]] = []
         self.path_of = [0] * n
-        # K2 bookkeeping
-        self.path_id = [0] * n
-        self.backlink = list(range(n))
-        self.newlink = [0] * n
-        self.newlink_epoch = [0] * n
-        self.authoritative = bytearray(n)  # id valid even while not antichain
         # instrumentation
         self.charge_units = 0
         self.sparsify_units = 0
@@ -245,17 +200,6 @@ class SolverState:
     def max_level(self) -> int:
         return len(self.cut_demand)
 
-    def is_antichain_vertex(self, v: int) -> bool:
-        return self.lv[2 * v] < self.lv[2 * v + 1]
-
-    def path_query(self, v: int) -> int:
-        """Id in [1, |f*|] of some current cover path containing v."""
-        if self.variant == K3:
-            return self.path_of[v]
-        if self.is_antichain_vertex(v) or self.authoritative[v]:
-            return self.path_id[v]
-        return self.path_id[self.backlink[v]]
-
     def insert_vertex(self, v: int, in_neighbors: list[int]) -> TraversalResult:
         """Sparsify v's in-edges, install the tentative flow, search, update."""
         if not (0 <= v < self.n):
@@ -265,7 +209,6 @@ class SolverState:
         for u in in_neighbors:
             if not self.inserted[u]:
                 raise OrderViolation(f"in-neighbor {u} of {v} not yet inserted")
-        self.iteration += 1
         prev_end = set(self.end_set) if self.debug else None
         prev_out_levels = ({u: self.lv[2 * u + 1] for u in self.end_set}
                            if self.debug else None)
@@ -356,20 +299,9 @@ class SolverState:
         arr.resize(t)
         arr.begin()
         topo_pos = self.dag.topo_pos
-        if self.variant == K3:
-            path_of = self.path_of
-            for u in in_neighbors:
-                arr.offer(path_of[u] - 1, u, topo_pos)
-        else:  # path_query, inlined
-            lv = self.lv
-            path_id = self.path_id
-            backlink = self.backlink
-            authoritative = self.authoritative
-            for u in in_neighbors:
-                if lv[2 * u] < lv[2 * u + 1] or authoritative[u]:
-                    arr.offer(path_id[u] - 1, u, topo_pos)
-                else:
-                    arr.offer(path_id[backlink[u]] - 1, u, topo_pos)
+        path_of = self.path_of
+        for u in in_neighbors:
+            arr.offer(path_of[u] - 1, u, topo_pos)
         return arr.survivors()
 
     def _install(self, v: int, survivors: list[int]) -> None:
@@ -454,11 +386,11 @@ class SolverState:
                         pred[y] = (x, -(u + 1), False)
 
         if found_last < 0:
-            return TraversalResult(0, popped, pred, -1, v)
-        return TraversalResult(lv[found_last], popped, pred, found_last, v)
+            return TraversalResult(0, popped, pred, -1)
+        return TraversalResult(lv[found_last], popped, pred, found_last)
 
     def apply_updates(self, result: TraversalResult, v: int) -> None:
-        """Flow, level, cut-demand, end-set and variant bookkeeping updates."""
+        """Flow, level, cut-demand, end-set and cover bookkeeping updates."""
         lv = self.lv
         found = result._last >= 0
         l = result.min_level if found else 0
@@ -494,18 +426,11 @@ class SolverState:
                 region += len(bucket)
         self.charge_units += (self.f_size + 1) * len(result._popped) + region
 
-        subpaths: list[list[int]] | None = None
-        if self.variant == K3:
-            if found:
-                self._k3_repair(l)
-            else:
-                self.paths.append([v])
-                self.path_of[v] = len(self.paths)
+        if found:
+            self._k3_repair(l)
         else:
-            # A failed search still drags visited vertices to level 0 and can
-            # demote back-link targets, so the layer is re-decomposed either way.
-            subpaths = self._decompose_region(l)
-            self.maintain_backlinks(l, subpaths)
+            self.paths.append([v])
+            self.path_of[v] = len(self.paths)
 
         # merge of layer l restores strictly decreasing cut demands
         self.last_merge = False
@@ -520,40 +445,6 @@ class SolverState:
             self.buckets[l - 1].extend(moved[0])
             del self.buckets[l]
             del self.cut_demand[l - 1]
-            if subpaths is not None:
-                self._repair_merged_anchors(subpaths, moved)
-
-    def _repair_merged_anchors(self, subpaths: list[list[int]],
-                               moved: list[list[int]]) -> None:
-        """Fix back links whose target lost antichain status in the merge.
-
-        Only this iteration's walk anchors (in-half one below, out-half at
-        the merged layer) can be demoted by a merge. Their subpath members
-        fall back to the anchor's own predecessor; remaining pointers to a
-        demoted anchor can only come from the moved region and are rewired
-        through the anchor's fresh new link, which points above them.
-        """
-        lv = self.lv
-        it = self.iteration
-        for seq in subpaths:
-            q = seq[0]
-            if lv[2 * q] == lv[2 * q + 1] and not self.authoritative[q]:
-                b = self.backlink[q]
-                if b == q:
-                    raise InvariantViolation(f"demoted anchor {q} has no predecessor")
-                for x in seq[1:]:
-                    if self.backlink[x] == q:
-                        self.backlink[x] = b
-        for keep in moved:
-            for x in keep:
-                if x & 1:
-                    u = x >> 1
-                    b = self.backlink[u]
-                    if lv[2 * b] >= lv[2 * b + 1] and not self.authoritative[b]:
-                        if self.newlink_epoch[b] != it:
-                            raise InvariantViolation(
-                                "demoted anchor without a fresh new link")
-                        self.backlink[u] = self.newlink[b]
 
     def _apply_flow_deltas(self, result: TraversalResult, v: int, a: int) -> None:
         self.f_size -= 1
@@ -578,7 +469,7 @@ class SolverState:
                     self.out_pos[tail].remove(ekey)
             code = prev
 
-    # --------------------------------------------------------- K3 bookkeeping
+    # ------------------------------------------------------ cover bookkeeping
 
     def _k3_repair(self, l: int) -> None:
         """Re-decompose the flow on levels >= l and rejoin the cover prefixes.
@@ -618,9 +509,9 @@ class SolverState:
     def _decompose_region(self, l: int) -> list[list[int]]:
         """Decompose the flow on all levels at or above l into walks.
 
-        The one walk loop of both variants: K2 derives its links from the
-        walks, K3 its cover paths. One backward walk per end vertex in the
-        region, each running from a boundary vertex below level l (or the
+        The one walk loop: `_k3_repair` reads the cover paths' new suffixes
+        off it, `result()` the final cover. One backward walk per end vertex
+        in the region, each running from a boundary vertex below level l (or the
         path's head vertex when the walk drains into the source, always the
         case at l = 0) up to its end vertex. Walks start from the smallest
         end vertices and take the lowest-id positive in-edge, so the result
@@ -629,13 +520,6 @@ class SolverState:
         Raising the consumption base forgets every unit the previous
         decomposition consumed: a walk consumes at most an edge's flow, and
         no edge of an acyclic flow carries more than n units.
-
-        K2 decomposes the whole region rather than only layer l on purpose:
-        a single new-link slot per vertex is not enough to redirect every
-        stale pointer when a decrementing path pushes a second flow unit
-        through a demoted antichain vertex, since its two walks can exit at
-        different crossings. Deriving all links in the region from actual
-        walks removes the ambiguity.
         """
         self.walk_base += self.n + 1
         lv = self.lv
@@ -694,44 +578,13 @@ class SolverState:
         seq.reverse()
         return seq
 
-    # --------------------------------------------------------- K2 bookkeeping
+    # The benchmark's incremental.k2_links_s hook targets these two names.
+    # Nothing calls them: both variant names run the cover bookkeeping above.
+    def maintain_backlinks(self, *args) -> None:
+        pass
 
-    def maintain_backlinks(self, l: int, layer_paths: list[list[int]]) -> None:
-        """Rebuild back links, new links and antichain path ids from walks.
-
-        Along each walk the most recent antichain vertex (or the walk's
-        anchor) becomes the back-link target of everything after it, and
-        every antichain vertex inherits the anchor's path id; anchors that
-        drained into the source head a new path and get a fresh id. The new
-        link of a vertex is the first antichain vertex strictly after it on
-        its walk, which is what merge repair uses to redirect pointers to
-        anchors demoted by the merge.
-        """
-        lv = self.lv
-        it = self.iteration
-        fresh = 0
-        for seq in layer_paths:
-            anchor = seq[0]
-            if lv[2 * anchor] >= l:
-                # walk drained into the source: anchor heads its path
-                fresh += 1
-                self.path_id[anchor] = fresh
-                self.backlink[anchor] = anchor
-                self.authoritative[anchor] = 1
-            pid = self.path_id[anchor]
-            carrier = anchor
-            for x in seq[1:]:
-                self.backlink[x] = carrier
-                self.authoritative[x] = 0
-                if lv[2 * x] < lv[2 * x + 1]:
-                    self.path_id[x] = pid
-                    carrier = x
-            nxt = -1
-            for x in reversed(seq):
-                self.newlink[x] = x if nxt < 0 else nxt
-                self.newlink_epoch[x] = it
-                if lv[2 * x] < lv[2 * x + 1]:
-                    nxt = x
+    def _repair_merged_anchors(self, *args) -> None:
+        pass
 
     # ----------------------------------------------------------------- audit
 
@@ -812,35 +665,14 @@ class SolverState:
                     if (anc[y] >> x) & 1:
                         raise InvariantViolation(
                             f"antichain vertices {x}, {y} are comparable")
-        # variant bookkeeping must describe a real cover of the right size
-        if self.variant == K3:
-            if len(self.paths) != self.f_size:
-                raise InvariantViolation("stored path count differs from flow size")
-            self._audit_k3_flow()
-            for u in inserted:
-                pid = self.path_of[u]
-                if not (1 <= pid <= len(self.paths)) or u not in self.paths[pid - 1]:
-                    raise InvariantViolation(f"path id of {u} is wrong")
-        else:
-            ids = set()
-            groups: dict[int, list[int]] = {}
-            for u in inserted:
-                pid = self.path_query(u)
-                if not (1 <= pid <= self.f_size):
-                    raise InvariantViolation(f"path id {pid} of {u} out of range")
-                ids.add(pid)
-                groups.setdefault(pid, []).append(u)
-                b = self.backlink[u]
-                if b != u and not (anc[u] >> b) & 1:
-                    raise InvariantViolation(f"back link {b} does not reach {u}")
-            if len(ids) != self.f_size:
-                raise InvariantViolation("path ids do not span the cover")
-            for pid, members in groups.items():
-                members.sort(key=self.dag.topo_pos.__getitem__)
-                for x, y in zip(members, members[1:]):
-                    if not (anc[y] >> x) & 1:
-                        raise InvariantViolation(
-                            f"id class {pid} is not a chain: {x} !-> {y}")
+        # the stored paths must describe a real cover of the right size
+        if len(self.paths) != self.f_size:
+            raise InvariantViolation("stored path count differs from flow size")
+        self._audit_k3_flow()
+        for u in inserted:
+            pid = self.path_of[u]
+            if not (1 <= pid <= len(self.paths)) or u not in self.paths[pid - 1]:
+                raise InvariantViolation(f"path id of {u} is wrong")
 
     def _audit_k3_flow(self) -> None:
         split = [0] * self.n
@@ -866,9 +698,9 @@ def solve(dag: Dag, variant: str = K2, debug: bool | None = None,
           trace: bool | None = None) -> SolveResult:
     """Compute an MPC of dag by inserting vertices in topological order.
 
-    variant selects the cover bookkeeping: "k2" maintains back links and
-    antichain path ids, "k3" the full flow decomposition. Both return covers
-    of identical size. debug/trace default to the DAGWIDTH_DEBUG environment
+    variant is "k2" or "k3"; both run the same bookkeeping, an explicit flow
+    decomposition, and return the same cover ("k2" is kept as a name for
+    compatibility). debug/trace default to the DAGWIDTH_DEBUG environment
     variable and enable the per-insertion invariant auditor and trace lines.
     """
     env = os.environ.get("DAGWIDTH_DEBUG") == "1"

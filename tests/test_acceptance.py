@@ -22,7 +22,7 @@ from dagwidth.thinning import cover_support
 
 @pytest.fixture(scope="module")
 def solved_corpus(corpus):
-    """K2 solve results for the whole corpus, shared across criteria."""
+    """Solve results for the whole corpus, shared across criteria."""
     return [(seed, dag, width, solve(dag)) for seed, dag, width in corpus]
 
 

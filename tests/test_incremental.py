@@ -48,7 +48,7 @@ def test_insert_no_neighbors_fails_immediately():
     state.insert_vertex(1, [0])
     before = state.f_size
     result = state.insert_vertex(2, [])
-    assert not result.found and result.visited == []
+    assert not result.found and result._popped == []
     assert state.f_size == before + 1
 
 
@@ -69,7 +69,11 @@ def test_shortest_decrementing_path_through_end_vertex():
     state.insert_vertex(0, [])
     result = state.insert_vertex(1, [0])
     assert result.found
-    assert len(result.decrementing_path) == 3
+    # 0_out (code 1) is the last vertex before the sink, entered straight
+    # from 1_in over the reversed cross edge 0 -> 1
+    assert (state.cross_tail[0], state.cross_head[0]) == (0, 1)
+    assert result._last == 1
+    assert result._pred == {1: (-1, 0, True)}
 
 
 def test_merge_on_two_chain():
@@ -138,19 +142,7 @@ def test_solve_deterministic(d4):
     assert a.flow.values == b.flow.values
 
 
-def test_k2_backlinks_reach_their_vertices():
-    for seed in (4, 95, 303):
-        dag = corpus_instance(seed)
-        state = SolverState(dag, "k2")
-        for v in dag.topo:
-            state.insert_vertex(v, dag.in_adj[v])
-        for v in range(dag.n):
-            b = state.backlink[v]
-            if b != v:
-                assert reaches(dag, b, v)
-
-
-def test_k2_path_ids_form_chain_cover():
+def test_path_of_forms_chain_cover():
     for seed in (4, 95, 303):
         dag = corpus_instance(seed)
         state = SolverState(dag, "k2")
@@ -158,12 +150,26 @@ def test_k2_path_ids_form_chain_cover():
             state.insert_vertex(v, dag.in_adj[v])
         groups: dict[int, list[int]] = {}
         for v in range(dag.n):
-            groups.setdefault(state.path_query(v), []).append(v)
+            groups.setdefault(state.path_of[v], []).append(v)
         assert len(groups) == state.f_size == oracle_width(dag)
+        assert sorted(groups) == list(range(1, state.f_size + 1))
         for members in groups.values():
             members.sort(key=dag.topo_pos.__getitem__)
             for a, b in zip(members, members[1:]):
                 assert reaches(dag, a, b)
+
+
+def test_variant_names_give_one_cover():
+    for seed in range(200):
+        dag = corpus_instance(seed)
+        assert solve(dag, "k2").cover.paths == solve(dag, "k3").cover.paths, seed
+
+
+def test_unknown_variant_raises(d4):
+    with pytest.raises(ValueError, match="unknown variant 'k4'"):
+        SolverState(d4, "k4")
+    with pytest.raises(ValueError):
+        solve(d4, "k4")
 
 
 def test_levels_final_invariants(d4):
@@ -224,15 +230,6 @@ def test_regression_decrementing_path_doubles_split_flow():
     for variant in ("k2", "k3"):
         result = solve(dag, variant=variant, debug=True)
         assert result.cover.size == oracle_width(dag)
-
-
-def test_level_assignment_accessor(d4):
-    from dagwidth import FlowVertex
-    levels = solve(d4).levels
-    assert levels.level(FlowVertex.source()) == float("-inf")
-    assert levels.level(FlowVertex.sink()) == float("inf")
-    assert levels.level(FlowVertex.vin(3)) == levels.level_in[3]
-    assert levels.level(FlowVertex.vout(3)) == levels.level_out[3]
 
 
 def test_trace_lines(d4, capsys):
@@ -339,10 +336,7 @@ def test_region_walks_match_dict_reference():
             levels += at
             assert hub_units is None or most == hub_units, (variant, dag.n)
         assert max(levels) >= 1, variant
-        if variant == "k3":  # K3 decomposes only after a found path
-            assert min(levels) >= 1
-    # K2 also re-derives its links after failed searches, at l = 0
-    assert 0 in _solve_checking_walks(remark_family(3), "k2")[0]
+        assert min(levels) >= 1, variant  # decompositions follow found paths only
 
 
 def _solved(dag, variant):
