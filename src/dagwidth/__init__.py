@@ -5,8 +5,8 @@ from . import errors
 from .antichain import chain_cover_from_mpc, max_antichain, max_antichain_from_flow
 from .dag import (Dag, PathCover, build_dag, gen_random_dag, prefix, reaches,
                   remark_family)
-from .flow import (Flow, FlowNetwork, FlowVertex, check_flow, decompose,
-                   flow_from_cover, reduce, residual_out)
+from .flow import (Flow, FlowNetwork, check_flow, decompose, flow_from_cover,
+                   reduce)
 from .incremental import (K2, K3, LevelAssignment, SolverState, SolveResult,
                           TraversalResult, solve)
 from .oracle import oracle_max_antichain, oracle_width, validate_cover
@@ -20,8 +20,8 @@ __all__ = [
     "errors",
     "Dag", "PathCover", "build_dag", "prefix", "reaches", "gen_random_dag",
     "remark_family",
-    "Flow", "FlowNetwork", "FlowVertex", "reduce", "flow_from_cover",
-    "decompose", "residual_out", "check_flow",
+    "Flow", "FlowNetwork", "reduce", "flow_from_cover", "decompose",
+    "check_flow",
     "sparsify_vertex", "sparsify_all",
     "K2", "K3", "SolverState", "SolveResult", "TraversalResult",
     "LevelAssignment", "solve",

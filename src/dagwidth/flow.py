@@ -11,40 +11,10 @@ cross edges 3n + j for the j-th base edge in canonical order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dag import Dag, PathCover
 from .errors import InvalidFlow, InvalidPath, NotACover
-
-SOURCE = "source"
-SINK = "sink"
-IN = "in"
-OUT = "out"
-
-
-@dataclass(frozen=True)
-class FlowVertex:
-    """A vertex of the reduction: the source, the sink, or half of a split."""
-
-    kind: str
-    v: int = -1
-
-    @staticmethod
-    def source() -> "FlowVertex":
-        return FlowVertex(SOURCE)
-
-    @staticmethod
-    def sink() -> "FlowVertex":
-        return FlowVertex(SINK)
-
-    @staticmethod
-    def vin(v: int) -> "FlowVertex":
-        return FlowVertex(IN, v)
-
-    @staticmethod
-    def vout(v: int) -> "FlowVertex":
-        return FlowVertex(OUT, v)
-
 
 class FlowNetwork:
     """The reduction of a base DAG, with the canonical edge numbering."""
@@ -74,17 +44,6 @@ class FlowNetwork:
 
     def demand(self, edge_id: int) -> int:
         return 1 if edge_id < self.base.n else 0
-
-    def edge_endpoints(self, edge_id: int) -> tuple[FlowVertex, FlowVertex]:
-        n = self.base.n
-        if edge_id < n:
-            return FlowVertex.vin(edge_id), FlowVertex.vout(edge_id)
-        if edge_id < 2 * n:
-            return FlowVertex.source(), FlowVertex.vin(edge_id - n)
-        if edge_id < 3 * n:
-            return FlowVertex.vout(edge_id - 2 * n), FlowVertex.sink()
-        u, v = self.cross_edges[edge_id - 3 * n]
-        return FlowVertex.vout(u), FlowVertex.vin(v)
 
 
 @dataclass
@@ -158,15 +117,16 @@ def check_flow(net: FlowNetwork, flow: Flow, cuts: int = 10, seed: int = 0):
         in_s = [rng.random() < 0.5 for _ in range(2 * n)]  # v_in: 2v, v_out: 2v+1
         net_cross = 0
         for e in range(net.num_edges):
-            tail, head = net.edge_endpoints(e)
-            tail_in_s = tail.kind == SOURCE or (
-                tail.kind != SINK and in_s[2 * tail.v + (1 if tail.kind == OUT else 0)])
-            head_in_s = head.kind == SOURCE or (
-                head.kind != SINK and in_s[2 * head.v + (1 if head.kind == OUT else 0)])
-            if tail_in_s and not head_in_s:
-                net_cross += values[e]
-            elif head_in_s and not tail_in_s:
-                net_cross -= values[e]
+            if e < n:  # split v_in -> v_out
+                tail_in_s, head_in_s = in_s[2 * e], in_s[2 * e + 1]
+            elif e < 2 * n:  # source -> v_in
+                tail_in_s, head_in_s = True, in_s[2 * (e - n)]
+            elif e < 3 * n:  # v_out -> sink
+                tail_in_s, head_in_s = in_s[2 * (e - 2 * n) + 1], False
+            else:  # u_out -> v_in
+                u, v = net.cross_edges[e - 3 * n]
+                tail_in_s, head_in_s = in_s[2 * u + 1], in_s[2 * v]
+            net_cross += values[e] * (tail_in_s - head_in_s)
         if net_cross != flow.size:
             violations.append(f"cut {c}: crossing flow {net_cross} != size {flow.size}")
     return violations
@@ -203,34 +163,6 @@ def decompose(net: FlowNetwork, flow: Flow) -> PathCover:
             v = net.cross_edges[eid - 3 * n][1]
         paths.append(path)
     return PathCover(paths)
-
-
-def residual_out(net: FlowNetwork, flow: Flow, x: FlowVertex) -> list[FlowVertex]:
-    """Out-neighbors of x in the residual: reverses of in-edges of x, plus
-    direct out-edges of x whose flow exceeds the demand."""
-    n = net.base.n
-    values = flow.values
-    out: list[FlowVertex] = []
-    if x.kind == SOURCE:
-        # no in-edges; direct (s, v_in) with flow > 0
-        out.extend(FlowVertex.vin(v) for v in range(n) if values[n + v] > 0)
-    elif x.kind == SINK:
-        out.extend(FlowVertex.vout(v) for v in range(n))  # reverse sink edges
-    elif x.kind == IN:
-        v = x.v
-        out.append(FlowVertex.source())  # reverse of (s, v_in)
-        out.extend(FlowVertex.vout(net.cross_edges[e - 3 * n][0])
-                   for e in net.in_cross[v])
-        if values[v] > 1:
-            out.append(FlowVertex.vout(v))
-    else:
-        v = x.v
-        out.append(FlowVertex.vin(v))  # reverse of the split edge
-        out.extend(FlowVertex.vin(net.cross_edges[e - 3 * n][1])
-                   for e in net.out_cross[v] if values[e] > 0)
-        if values[2 * n + v] > 0:
-            out.append(FlowVertex.sink())
-    return out
 
 
 def source_side_vertices(net: FlowNetwork, flow: Flow) -> tuple[set[int], bool]:

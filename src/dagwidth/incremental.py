@@ -24,16 +24,16 @@ each vertex's path id (`path_of`). After a found path it re-reads the
 updated region's flow through `_decompose_region(l)`: a backward walk from
 every end vertex at levels >= l down past level l, with the units each walk
 consumes counted in epoch-stamped per-vertex and per-edge arrays, so one
-raise of the stamp base resets them. The walks become the new suffixes of
-the stored paths' prefixes below the region. A failed search only adds a
-one-vertex path. The variant names "k2" and "k3" both select this
-bookkeeping; "k2" is kept as a name for compatibility.
+raise of the stamp base resets them. Each walk becomes the new suffix of
+the one stored path through its boundary vertex below the region. A failed
+search only adds a one-vertex path. The variant names "k2" and "k3" both
+select this bookkeeping; "k2" is kept as a name for compatibility.
 
 Path maintenance runs on the pre-merge levels; the merge only relabels.
 
-The final cover comes from the same decomposition at level 0, where every
-walk runs back to its path's head, checked to use up the flow exactly.
-No flow network is built unless a result's `network` or `flow` is read.
+The final cover is a copy of the stored paths, checked to decompose the
+flow exactly. No flow network or flow is built unless a result's
+`network` or `flow` is read.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .dag import Dag, PathCover
 from .errors import InvariantViolation, OrderViolation
-from .flow import Flow, FlowNetwork
+from .flow import Flow, FlowNetwork, flow_from_cover
 from .flow import decompose  # noqa: F401  the benchmark's flow.decompose hook targets this binding
 from .sparsify import SurvivorArray
 
@@ -94,17 +94,12 @@ class TraversalResult:
                 f"min_level={self.min_level}, visited={len(self._popped)})")
 
 
-class _FinalFlow(NamedTuple):
-    """Copies of a solver's flow arrays, taken when its result is frozen."""
+class _KeptEdges(NamedTuple):
+    """Copies of a solver's kept edges, taken when its result is frozen."""
 
     n: int
-    size: int
-    split: list[int]
-    srcin: list[int]
-    outsink: list[int]
     cross_tail: list[int]
     cross_head: list[int]
-    cross: list[int]
 
 
 class SolveResult:
@@ -112,34 +107,29 @@ class SolveResult:
 
     `network` (the reduction of the sparsified DAG the solver kept) and
     `flow` (the final minimum flow on it) are built on first access from
-    the flow arrays copied when the result was frozen, so they describe
-    that moment even if the solver state changes afterwards.
+    the kept edges copied when the result was frozen, so they describe
+    that moment even if the solver state changes afterwards. The flow is
+    the cover's own: the cover was checked to decompose it exactly.
     """
 
     def __init__(self, cover: PathCover, levels: LevelAssignment, charges: dict,
-                 final: _FinalFlow):
+                 kept: _KeptEdges):
         self.cover = cover
         self.levels = levels
         self.charges = charges
-        self._final = final
+        self._kept = kept
 
     @cached_property
     def network(self) -> FlowNetwork:
         from .dag import build_dag
         from .flow import reduce as _reduce
 
-        f = self._final
-        return _reduce(build_dag(f.n, list(zip(f.cross_tail, f.cross_head))))
+        k = self._kept
+        return _reduce(build_dag(k.n, list(zip(k.cross_tail, k.cross_head))))
 
     @cached_property
     def flow(self) -> Flow:
-        f = self._final
-        net = self.network
-        values = f.split + f.srcin + f.outsink + [0] * len(net.cross_edges)
-        cross_id = net.cross_id
-        for u, v, units in zip(f.cross_tail, f.cross_head, f.cross):
-            values[cross_id[(u, v)]] = units
-        return Flow(values, f.size)
+        return flow_from_cover(self.network, self.cover)
 
 
 class SolverState:
@@ -177,7 +167,6 @@ class SolverState:
         self.survivors = SurvivorArray(0)
         # walk consumption, stamped once per region decomposition
         self.split_used = [0] * n
-        self.srcin_used = [0] * n
         self.cross_used: list[int] = []
         self.walk_base = 0
         # cover bookkeeping: the flow decomposition and each vertex's path id
@@ -186,7 +175,6 @@ class SolverState:
         # instrumentation
         self.charge_units = 0
         self.sparsify_units = 0
-        self.visit_count = [0] * n
         self.merges = 0
         self.last_merge = False
         # debug auditor state
@@ -227,66 +215,72 @@ class SolverState:
         return result
 
     def charge_counters(self) -> dict:
-        """Instrumentation snapshot: visit counts and total charged work."""
+        """Instrumentation snapshot: total charged work and merges."""
         return {
             "total_units": self.charge_units + self.sparsify_units,
             "traversal_units": self.charge_units,
             "sparsify_units": self.sparsify_units,
-            "visits_per_vertex": list(self.visit_count),
             "merges": self.merges,
         }
 
     def result(self) -> SolveResult:
         """Freeze the final cover, level assignment and charge counters.
 
-        The cover is read off the final flow by the region walks at level 0,
-        where every walk runs from an end vertex back to its path's head.
-        The walks are listed by first vertex, ties in end-vertex order, and
-        must use up the flow exactly (`_check_decomposition`). The flow
-        network and the flow itself are built only if the result's
-        `network` or `flow` is read.
+        The cover is a copy of the stored paths, listed by first vertex,
+        ties in path-id order. Every vertex must carry split flow (its
+        demand), and the paths must decompose the flow exactly
+        (`_check_paths`). The flow network and the flow itself are built
+        only if the result's `network` or `flow` is read.
         """
-        walks = self._decompose_region(0)
-        self._check_decomposition(walks)
-        walks.sort(key=itemgetter(0))
-        levels = LevelAssignment(self.lv[0::2], self.lv[1::2],
-                                 list(self.cut_demand), self.max_level)
-        final = _FinalFlow(self.n, self.f_size, list(self.split_f),
-                           list(self.srcin_f), list(self.outsink_f),
-                           list(self.cross_tail), list(self.cross_head),
-                           list(self.cross_f))
-        return SolveResult(PathCover(walks), levels, self.charge_counters(), final)
-
-    def _check_decomposition(self, walks: list[list[int]]) -> None:
-        """Raise InvariantViolation unless the level-0 walks decompose the flow.
-
-        Each vertex must carry split flow (its demand), the walks must end
-        where the sink edges carry flow, one walk per unit, and they must
-        have consumed exactly the flow of every split, source and cross
-        edge. Walks are paths, so this implies conservation at every
-        vertex and a flow size of len(walks): all that a flow check
-        without cuts verifies, in O(n + kept edges).
-        """
-        base = self.walk_base
-
-        def spent(used: list[int]) -> list[int]:
-            return [c - base if c > base else 0 for c in used]
-
-        ends = [0] * self.n
-        for walk in walks:
-            ends[walk[-1]] += 1
-        if len(walks) != self.f_size:
-            raise InvariantViolation(
-                f"{len(walks)} walks for a flow of size {self.f_size}")
         if 0 in self.split_f:
             raise InvariantViolation(
                 f"vertex {self.split_f.index(0)} carries no split flow")
-        if ends != self.outsink_f:
-            raise InvariantViolation("walks do not end on the sink-edge flow")
-        if (spent(self.split_used) != self.split_f
-                or spent(self.srcin_used) != self.srcin_f
-                or spent(self.cross_used) != self.cross_f):
-            raise InvariantViolation("walks do not decompose the flow")
+        self._check_paths()
+        cover = PathCover(sorted(map(list, self.paths), key=itemgetter(0)))
+        levels = LevelAssignment(self.lv[0::2], self.lv[1::2],
+                                 list(self.cut_demand), self.max_level)
+        kept = _KeptEdges(self.n, list(self.cross_tail), list(self.cross_head))
+        return SolveResult(cover, levels, self.charge_counters(), kept)
+
+    def _check_paths(self) -> None:
+        """Raise InvariantViolation unless the stored paths decompose the flow.
+
+        One path per flow unit, each vertex on as many paths as its split
+        flow, heads and tails where the source and sink edges carry flow,
+        and every step of a path along a kept cross edge, as many times as
+        that edge's flow. Paths are walks in the network, so this implies
+        conservation at every vertex: all that a flow check without cuts
+        verifies, in O(n + total path length + kept edges).
+        """
+        n = self.n
+        paths = self.paths
+        if len(paths) != self.f_size:
+            raise InvariantViolation(
+                f"{len(paths)} stored paths for a flow of size {self.f_size}")
+        split = [0] * n
+        heads = [0] * n
+        tails = [0] * n
+        steps: dict[int, int] = {}
+        for path in paths:
+            heads[path[0]] += 1
+            tails[path[-1]] += 1
+            for u in path:
+                split[u] += 1
+            for u, w in zip(path, path[1:]):
+                key = u * n + w
+                steps[key] = steps.get(key, 0) + 1
+        if split != self.split_f:
+            raise InvariantViolation("stored paths do not match the split flow")
+        if heads != self.srcin_f:
+            raise InvariantViolation("stored paths do not start on the source-edge flow")
+        if tails != self.outsink_f:
+            raise InvariantViolation("stored paths do not end on the sink-edge flow")
+        for u, w, units in zip(self.cross_tail, self.cross_head, self.cross_f):
+            if steps.pop(u * n + w, 0) != units:
+                raise InvariantViolation(f"stored paths do not match the flow on ({u}, {w})")
+        if steps:
+            u, w = divmod(next(iter(steps)), n)
+            raise InvariantViolation(f"stored path steps along ({u}, {w}), not a kept edge")
 
     # ------------------------------------------------------- insertion steps
 
@@ -348,7 +342,6 @@ class SolverState:
             x = q[qhead[cur]]
             qhead[cur] += 1
             popped.append(x)
-            self.visit_count[x >> 1] += 1
             u = x >> 1
             if x & 1:  # u_out
                 if self.outsink_f[u] > 0:
@@ -476,46 +469,46 @@ class SolverState:
 
         Runs only after a found path, so l >= 1: the path ends at an end
         vertex's out-half, which lies above level 0 (invariant B), and every
-        stored path keeps a prefix below the region.
+        stored path keeps a prefix below the region. A walk's boundary
+        vertex has its split edge across level l, so by invariant A it
+        carries one unit and lies on exactly one stored path, `path_of` of
+        it. That path's part at levels >= l is replaced by the walk.
+        Suffixes are applied in increasing path id.
         """
         lv = self.lv
         path_of = self.path_of
+        paths = self.paths
         walks = self._decompose_region(l)
-        suffix_at: dict[int, list[int]] = {}
+        walks.sort(key=lambda suffix: path_of[suffix[0]])
+        last = 0
         for suffix in walks:
             boundary = suffix[0]
-            if boundary in suffix_at:
-                raise InvariantViolation("two suffixes at one boundary vertex")
-            suffix_at[boundary] = suffix
-        for pid, path in enumerate(self.paths, start=1):
+            pid = path_of[boundary]
+            if pid == last:
+                raise InvariantViolation(f"two suffixes for path {pid}")
+            last = pid
+            path = paths[pid - 1]
             if lv[2 * path[-1] + 1] < l:
-                continue
+                raise InvariantViolation(f"path {pid} ends below the region")
             j = len(path) - 1
             while j >= 0 and lv[2 * path[j]] >= l:
                 j -= 1
-            if j < 0:
-                raise InvariantViolation("cover path with empty prefix")
-            if path[j] not in suffix_at:
-                raise InvariantViolation(f"no flow suffix at boundary {path[j]}")
-            suffix = suffix_at.pop(path[j])
+            if j < 0 or path[j] != boundary:
+                raise InvariantViolation(f"boundary {boundary} is not on its path {pid}")
             path[j + 1:] = suffix[1:]
             for x in suffix[1:]:
                 path_of[x] = pid
-        if suffix_at:
-            raise InvariantViolation("unmatched flow suffixes after repair")
 
     # ------------------------------------------------------- region walks
 
     def _decompose_region(self, l: int) -> list[list[int]]:
-        """Decompose the flow on all levels at or above l into walks.
+        """Decompose the flow on all levels at or above l >= 1 into walks.
 
-        The one walk loop: `_k3_repair` reads the cover paths' new suffixes
-        off it, `result()` the final cover. One backward walk per end vertex
-        in the region, each running from a boundary vertex below level l (or the
-        path's head vertex when the walk drains into the source, always the
-        case at l = 0) up to its end vertex. Walks start from the smallest
-        end vertices and take the lowest-id positive in-edge, so the result
-        is deterministic. Flow below level l is untouched.
+        `_k3_repair` reads the cover paths' new suffixes off it. One
+        backward walk per end vertex in the region, each running from a
+        boundary vertex below level l up to its end vertex. Walks start from
+        the smallest end vertices and take the lowest-id positive in-edge,
+        so the result is deterministic. Flow below level l is untouched.
 
         Raising the consumption base forgets every unit the previous
         decomposition consumed: a walk consumes at most an edge's flow, and
@@ -531,20 +524,18 @@ class SolverState:
 
         Consumes one unit per edge walked and returns base vertices in path
         order. The first entry is the vertex whose in-half lies below level
-        l, or the path's head vertex when the walk drains into the source
-        (always the case at l = 0). Consumption is shared by the walks of
-        one region decomposition: each of `split_used`, `srcin_used` (per
+        l. Since l >= 1 and positive source edges enter level 0 (invariant
+        B), a walk never drains into the source. Consumption is shared by
+        the walks of one region decomposition: each of `split_used` (per
         vertex) and `cross_used` (per cross edge) holds `walk_base` plus the
         units consumed, and any value below `walk_base` means none.
         """
         lv = self.lv
         split_f = self.split_f
-        srcin_f = self.srcin_f
         cross_f = self.cross_f
         cross_tail = self.cross_tail
         in_cross = self.in_cross
         split_used = self.split_used
-        srcin_used = self.srcin_used
         cross_used = self.cross_used
         base = self.walk_base
         seq = []
@@ -558,12 +549,6 @@ class SolverState:
             split_used[u] = c + 1
             seq.append(u)
             if lv[2 * u] < l:
-                break
-            c = srcin_used[u]
-            if c < base:
-                c = base
-            if c - base < srcin_f[u]:
-                srcin_used[u] = c + 1
                 break
             for e in in_cross[u]:
                 c = cross_used[e]
@@ -665,33 +650,12 @@ class SolverState:
                     if (anc[y] >> x) & 1:
                         raise InvariantViolation(
                             f"antichain vertices {x}, {y} are comparable")
-        # the stored paths must describe a real cover of the right size
-        if len(self.paths) != self.f_size:
-            raise InvariantViolation("stored path count differs from flow size")
-        self._audit_k3_flow()
+        # the stored paths must decompose the flow, and path ids name them
+        self._check_paths()
         for u in inserted:
             pid = self.path_of[u]
             if not (1 <= pid <= len(self.paths)) or u not in self.paths[pid - 1]:
                 raise InvariantViolation(f"path id of {u} is wrong")
-
-    def _audit_k3_flow(self) -> None:
-        split = [0] * self.n
-        srcin = [0] * self.n
-        outsink = [0] * self.n
-        cross: dict[tuple[int, int], int] = {}
-        for path in self.paths:
-            srcin[path[0]] += 1
-            outsink[path[-1]] += 1
-            for x in path:
-                split[x] += 1
-            for uv in zip(path, path[1:]):
-                cross[uv] = cross.get(uv, 0) + 1
-        if split != self.split_f or srcin != self.srcin_f or outsink != self.outsink_f:
-            raise InvariantViolation("stored paths do not decompose the flow")
-        for e in range(len(self.cross_f)):
-            uv = (self.cross_tail[e], self.cross_head[e])
-            if cross.get(uv, 0) != self.cross_f[e]:
-                raise InvariantViolation(f"cross flow mismatch on {uv}")
 
 
 def solve(dag: Dag, variant: str = K2, debug: bool | None = None,

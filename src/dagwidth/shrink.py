@@ -17,7 +17,7 @@ def _find_decrementing_path(net, values):
     """Iterative DFS from the source; returns residual edges or None.
 
     Network vertices are coded source=-2, sink=-3, v_in=2v, v_out=2v+1.
-    Edges come back as (edge_kind, index, is_reverse) triples in path order;
+    Edges come back as (canonical edge id, is_reverse) pairs in path order;
     neighbor exploration follows the canonical edge order.
     """
     n = net.base.n
@@ -27,21 +27,21 @@ def _find_decrementing_path(net, values):
         if code == -2:
             for v in range(n):
                 if values[n + v] > 0:
-                    out.append((2 * v, ("si", v), False))
+                    out.append((2 * v, n + v, False))
         else:
             v, is_out = code >> 1, code & 1
             if is_out:
-                out.append((2 * v, ("sp", v), True))  # reverse split
+                out.append((2 * v, v, True))  # reverse split
                 for e in net.out_cross[v]:
                     if values[e] > 0:
-                        out.append((2 * net.cross_edges[e - 3 * n][1], ("cr", e), False))
+                        out.append((2 * net.cross_edges[e - 3 * n][1], e, False))
                 if values[2 * n + v] > 0:
-                    out.append((-3, ("os", v), False))
+                    out.append((-3, 2 * n + v, False))
             else:
                 for e in net.in_cross[v]:
-                    out.append((2 * net.cross_edges[e - 3 * n][0] + 1, ("cr", e), True))
+                    out.append((2 * net.cross_edges[e - 3 * n][0] + 1, e, True))
                 if values[v] > 1:
-                    out.append((2 * v + 1, ("sp", v), False))
+                    out.append((2 * v + 1, v, False))
         return out
 
     seen = {-2}
@@ -50,13 +50,13 @@ def _find_decrementing_path(net, values):
     while stack:
         code, it = stack[-1]
         advanced = False
-        for nxt, ekey, is_rev in it:
+        for nxt, eid, is_rev in it:
             if nxt == -3:
-                trail.append((ekey, is_rev))
+                trail.append((eid, is_rev))
                 return trail
             if nxt not in seen:
                 seen.add(nxt)
-                trail.append((ekey, is_rev))
+                trail.append((eid, is_rev))
                 stack.append((nxt, iter(residual_edges(nxt))))
                 advanced = True
                 break
@@ -81,17 +81,8 @@ def shrink(dag: Dag, cover: PathCover) -> PathCover:
         trail = _find_decrementing_path(net, values)
         if trail is None:
             break
-        for ekey, is_rev in trail:
-            kind, idx = ekey
-            delta = 1 if is_rev else -1
-            if kind == "sp":
-                values[idx] += delta
-            elif kind == "si":
-                values[net.base.n + idx] += delta
-            elif kind == "os":
-                values[2 * net.base.n + idx] += delta
-            else:
-                values[idx] += delta
+        for eid, is_rev in trail:
+            values[eid] += 1 if is_rev else -1
         size -= 1
         removed += 1
     assert removed == cover.size - size

@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from dagwidth import (FlowVertex, PathCover, build_dag, check_flow, decompose,
+from dagwidth import (PathCover, build_dag, check_flow, decompose,
                       flow_from_cover, reduce, remark_family, solve)
 from dagwidth.errors import InvalidFlow, InvalidPath, NotACover
-from dagwidth.flow import Flow, residual_out, source_side_vertices
+from dagwidth.flow import Flow, source_side_vertices
 
 
 def test_reduce_counts(d4):
@@ -90,18 +90,22 @@ def test_check_flow_random_cut_property(d4):
 
 
 def test_residual_out_slack_split(d4):
+    # 0 has no in-edges, so 0_out (code 1) is reached only over the split
+    # of 0, which carries slack: two units above a demand of one
     net = reduce(d4)
     flow = flow_from_cover(net, PathCover([[0, 1, 3], [0, 2, 3]]))
-    out = residual_out(net, flow, FlowVertex.vin(0))
-    assert FlowVertex.vout(0) in out  # split of 0 carries slack
-    assert FlowVertex.source() in out  # reverse source edge always present
+    reached, sink_reached = source_side_vertices(net, flow)
+    assert reached == {0, 1, 2, 4} and not sink_reached
 
 
 def test_residual_out_reverse_edges_without_flow(d4):
+    # (0, 2) carries no flow, and its reverse still leads from 2_in (code 4,
+    # a path head) to 0_out (code 1), which nothing else reaches
     net = reduce(d4)
-    flow = flow_from_cover(net, PathCover([[0, 1, 3], [0, 2, 3]]))
-    out = residual_out(net, flow, FlowVertex.vin(3))
-    assert FlowVertex.vout(1) in out and FlowVertex.vout(2) in out
+    flow = flow_from_cover(net, PathCover([[0, 1, 3], [2]]))
+    assert flow.values[net.cross_id[(0, 2)]] == 0
+    reached, sink_reached = source_side_vertices(net, flow)
+    assert reached == {0, 1, 2, 4} and not sink_reached
 
 
 def test_minimum_flow_has_no_decrementing_path(d4):

@@ -103,22 +103,24 @@ def test_end_vertices_track_flow(d4):
         assert state.end_set == want
 
 
+def _visits_per_vertex(dag):
+    """How often the searches pop either half of each vertex, over one solve."""
+    state = SolverState(dag, "k2")
+    visits = [0] * dag.n
+    for v in dag.topo:
+        for x in state.insert_vertex(v, dag.in_adj[v])._popped:
+            visits[x >> 1] += 1
+    return visits
+
+
 def test_chain_visits_constant_per_vertex():
     n = 200
     chain = build_dag(n, [(i, i + 1) for i in range(n - 1)])
-    state = SolverState(chain, "k2")
-    for v in chain.topo:
-        state.insert_vertex(v, chain.in_adj[v])
-    counters = state.charge_counters()
-    assert max(counters["visits_per_vertex"]) <= 2
+    assert max(_visits_per_vertex(chain)) <= 2
 
 
 def test_independent_set_no_traversal():
-    dag = build_dag(30, [])
-    state = SolverState(dag, "k2")
-    for v in dag.topo:
-        state.insert_vertex(v, [])
-    assert sum(state.charge_counters()["visits_per_vertex"]) == 0
+    assert sum(_visits_per_vertex(build_dag(30, []))) == 0
 
 
 def test_variants_agree_on_trajectory():
@@ -258,10 +260,6 @@ def _reference_walk_back(state, end, l, consumed):
         seq.append(u)
         if lv[2 * u] < l:
             break
-        skey = ("si", u)
-        if state.srcin_f[u] - consumed.get(skey, 0) > 0:
-            consumed[skey] = consumed.get(skey, 0) + 1
-            break
         eid = -1
         for e in state.in_cross[u]:
             if state.cross_f[e] - consumed.get(("cr", e), 0) > 0:
@@ -285,10 +283,10 @@ def _solve_checking_walks(dag, variant):
     """Solve, comparing every region decomposition with the reference walk.
 
     Walks only read the flow, so the reference runs first on the same flow
-    the solver's own decomposition then sees. This includes the level-0
-    decomposition that `result()` reads the cover from. Returns the levels
-    the insertions' decompositions ran at and the most walks that passed
-    through one vertex in one decomposition.
+    the solver's own decomposition then sees. `result()` copies the stored
+    paths and runs no decomposition. Returns the levels the insertions'
+    decompositions ran at and the most walks that passed through one vertex
+    in one decomposition.
     """
     state = SolverState(dag, variant)
     decompose = state._decompose_region
@@ -311,10 +309,10 @@ def _solve_checking_walks(dag, variant):
     state._decompose_region = checked
     for v in dag.topo:
         state.insert_vertex(v, dag.in_adj[v])
-    inserting = list(levels)
+    inserting = len(levels)
     assert state.result().cover.size == state.f_size
-    assert levels[len(inserting):] == [0]
-    return inserting, most
+    assert len(levels) == inserting
+    return levels, most
 
 
 def _differential_dags():
@@ -346,51 +344,47 @@ def _solved(dag, variant):
     return state
 
 
+# Corpus DAG 11 ends with three levels: at l = 1 its five walks take 37
+# steps, three of them through one vertex.
+LAYERED = 11
+
+
 @pytest.mark.parametrize("variant", ["k2", "k3"])
 def test_region_decomposition_repeats_on_unchanged_flow(variant):
-    state = _solved(remark_family(4), variant)
-    first = state._decompose_region(0)
-    assert state._decompose_region(0) == first
-    assert sum(map(len, first)) == sum(state.split_f)
-    assert len(first) == state.f_size
-
-
-@pytest.mark.parametrize("variant", ["k2", "k3"])
-def test_walks_share_a_head_with_a_source_unit(variant):
-    # h = 1 starts one cover path and continues another: 0 -> 1 -> 2 and
-    # 1 -> 3, so the second walk through h must leave by its in-edge. No
-    # solver run in the differential families reaches such a flow.
-    state = _solved(build_dag(4, [(0, 1), (1, 2), (1, 3)]), variant)
-    assert len(state.cross_f) == 3
-    state.split_f[:] = [1, 2, 1, 1]
-    state.srcin_f[:] = [1, 1, 0, 0]
-    state.outsink_f[:] = [0, 0, 1, 1]
-    state.cross_f[:] = [1, 1, 1]
-    state.end_set = {2, 3}
-    assert state._decompose_region(0) == [[1, 2], [0, 1, 3]]
-    assert _reference_decompose_region(state, 0) == [[1, 2], [0, 1, 3]]
+    state = _solved(corpus_instance(LAYERED), variant)
+    lv = state.lv
+    first = state._decompose_region(1)
+    assert state._decompose_region(1) == first
+    # every unit of split flow whose out-half lies in the region is walked
+    assert sum(map(len, first)) == sum(
+        state.split_f[u] for u in range(state.n) if lv[2 * u + 1] >= 1)
+    assert len(first) == len(state.end_set) == state.f_size
+    assert all(lv[2 * walk[0]] < 1 <= lv[2 * x] for walk in first for x in walk[1:])
 
 
 @pytest.mark.parametrize("variant", ["k2", "k3"])
 def test_walk_flags_missing_split_flow(variant):
-    state = _solved(remark_family(4), variant)
+    state = _solved(corpus_instance(LAYERED), variant)
     end = min(state.end_set)  # the first walk starts on its split edge
     state.split_f[end] -= 1
     with pytest.raises(InvariantViolation, match=f"^split flow exhausted at {end}$"):
-        state._decompose_region(0)
+        state._decompose_region(1)
 
 
 @pytest.mark.parametrize("variant", ["k2", "k3"])
 def test_walk_flags_missing_cross_flow(variant):
-    state = _solved(remark_family(4), variant)
-    e = next(e for e in range(len(state.cross_f)) if state.cross_f[e] > 0)
-    head = state.cross_head[e]
-    # at l = 0 the walks pass head's split split_f[head] times, and its in-edges
+    state = _solved(corpus_instance(LAYERED), variant)
+    lv = state.lv
+    e = next(e for e in range(len(state.cross_f))
+             if state.cross_f[e] > 0 and lv[2 * state.cross_head[e]] >= 1)
+    tail, head = state.cross_tail[e], state.cross_head[e]
+    # at l = 1 the walks pass head's split split_f[head] times, and its in-edges
     # are one unit short of that
     state.cross_f[e] -= 1
     with pytest.raises(InvariantViolation, match=f"^no positive in-edge at {head}$"):
-        state._decompose_region(0)
-    with pytest.raises(InvariantViolation, match=f"^no positive in-edge at {head}$"):
+        state._decompose_region(1)
+    with pytest.raises(InvariantViolation,
+                       match=rf"^stored paths do not match the flow on \({tail}, {head}\)$"):
         state.result()
 
 
@@ -404,15 +398,25 @@ def _lazy_flow_dags():
     yield build_dag(36, DOUBLED_SPLIT_EDGES)
 
 
+def _solver_flow_values(state, net):
+    """The solver's flow arrays as values by canonical edge id of net."""
+    values = state.split_f + state.srcin_f + state.outsink_f + [0] * len(net.cross_edges)
+    for u, v, units in zip(state.cross_tail, state.cross_head, state.cross_f):
+        values[net.cross_id[(u, v)]] = units
+    return values
+
+
 def test_lazy_flow_is_the_covers_flow():
     for dag in _lazy_flow_dags():
         for variant in ("k2", "k3"):
-            result = solve(dag, variant)
+            state = _solved(dag, variant)
+            result = state.result()
             assert check_flow(result.network, result.flow) == [], (dag, variant)
             assert decompose(result.network, result.flow).size == result.cover.size
-            # the cover decomposes the flow exactly
-            assert (flow_from_cover(result.network, result.cover).values
-                    == result.flow.values), (dag, variant)
+            # the cover's flow is exactly the flow the solver kept
+            assert result.flow.size == state.f_size
+            assert (result.flow.values
+                    == _solver_flow_values(state, result.network)), (dag, variant)
             firsts = [p[0] for p in result.cover.paths]
             assert firsts == sorted(firsts), (dag, variant)
 
@@ -434,24 +438,25 @@ def test_result_stays_frozen(variant):
 
 @pytest.mark.parametrize("variant", ["k2", "k3"])
 def test_result_flags_unused_flow(variant):
-    # a second source unit at a path head is never consumed by the walks
+    # a second source unit at a path head starts no stored path
     state = _solved(remark_family(4), variant)
     head = state.result().cover.paths[0][0]
     state.srcin_f[head] += 1
-    with pytest.raises(InvariantViolation, match="^walks do not decompose the flow$"):
+    with pytest.raises(InvariantViolation,
+                       match="^stored paths do not start on the source-edge flow$"):
         state.result()
 
 
 @pytest.mark.parametrize("variant", ["k2", "k3"])
 def test_result_flags_unused_cross_flow(variant):
-    # walks take a vertex's positive in-edges in order, so a surplus unit on
-    # the last one is left over
+    # a surplus unit on a positive cross edge is on no stored path
     state = _solved(remark_family(4), variant)
     h = next(h for h in range(state.n)
              if not state.srcin_f[h] and any(state.cross_f[e] for e in state.in_cross[h]))
     e = [e for e in state.in_cross[h] if state.cross_f[e]][-1]
     state.cross_f[e] += 1
-    with pytest.raises(InvariantViolation, match="^walks do not decompose the flow$"):
+    uv = rf"\({state.cross_tail[e]}, {h}\)"
+    with pytest.raises(InvariantViolation, match=f"^stored paths do not match the flow on {uv}$"):
         state.result()
 
 
@@ -460,12 +465,66 @@ def test_result_flags_sink_and_size_mismatch(variant):
     state = _solved(remark_family(4), variant)
     inner = next(v for v in range(state.n) if v not in state.end_set)
     state.outsink_f[inner] += 1
-    with pytest.raises(InvariantViolation, match="^walks do not end on the sink-edge flow$"):
+    with pytest.raises(InvariantViolation,
+                       match="^stored paths do not end on the sink-edge flow$"):
         state.result()
     state.outsink_f[inner] -= 1
     state.f_size += 1
-    with pytest.raises(InvariantViolation, match="walks for a flow of size"):
+    with pytest.raises(InvariantViolation, match="^4 stored paths for a flow of size 5$"):
         state.result()
+
+
+@pytest.mark.parametrize("variant", ["k2", "k3"])
+def test_result_cover_does_not_alias_stored_paths(variant):
+    state = _solved(remark_family(4), variant)
+    cover = state.result().cover
+    assert sorted(cover.paths) == sorted(state.paths)
+    assert all(p is not q for p in cover.paths for q in state.paths)
+    before = [list(p) for p in cover.paths]
+    for path in state.paths:
+        path.append(-1)
+    assert cover.paths == before
+
+
+@pytest.mark.parametrize("variant", ["k2", "k3"])
+def test_result_flags_swapped_path_vertices(variant):
+    # same vertices, heads and tails, but the steps leave the kept edges
+    state = _solved(remark_family(4), variant)
+    path = state.paths[0]
+    path[1], path[2] = path[2], path[1]
+    with pytest.raises(InvariantViolation, match="^stored path"):
+        state.result()
+
+
+@pytest.mark.parametrize("variant", ["k2", "k3"])
+def test_repair_flags_wrong_path_of_at_boundary(variant):
+    dag = corpus_instance(LAYERED)
+    # the first repair with two or more paths, and a boundary it walks to
+    state = SolverState(dag, variant)
+    decompose = state._decompose_region
+    repairs = []
+
+    def recorded(l):
+        walks = decompose(l)
+        repairs.append((state.count, len(state.paths), walks[0][0]))
+        return walks
+
+    state._decompose_region = recorded
+    for v in dag.topo:
+        state.insert_vertex(v, dag.in_adj[v])
+    count, npaths, boundary = next(r for r in repairs if r[1] >= 2)
+
+    state = SolverState(dag, variant)
+    for v in dag.topo[:count - 1]:
+        state.insert_vertex(v, dag.in_adj[v])
+    wrong = state.path_of[boundary] % npaths + 1
+    state.path_of[boundary] = wrong
+    v = dag.topo[count - 1]
+    with pytest.raises(InvariantViolation,
+                       match=f"^(boundary {boundary} is not on its path {wrong}"
+                             f"|path {wrong} ends below the region"
+                             f"|two suffixes for path {wrong})$"):
+        state.insert_vertex(v, dag.in_adj[v])
 
 
 def test_result_flags_uninserted_vertex(d4):
