@@ -108,11 +108,10 @@ def build_dag(n: int, edges: list[tuple[int, int]]) -> Dag:
     topo_pos = [0] * n
     for pos, v in enumerate(topo):
         topo_pos[v] = pos
+    # scanning tails in increasing order leaves every in_adj list sorted
     for u in range(n):
         for v in out_adj[u]:
             in_adj[v].append(u)
-    for v in range(n):
-        in_adj[v].sort()
     return Dag(n, out_adj, in_adj, topo, topo_pos)
 
 

@@ -48,7 +48,7 @@ from .dag import Dag, PathCover
 from .errors import InvariantViolation, OrderViolation
 from .flow import Flow, FlowNetwork, flow_from_cover
 from .flow import decompose  # noqa: F401  the benchmark's flow.decompose hook targets this binding
-from .sparsify import SurvivorArray
+from .sparsify import sparsify_vertex
 
 K2 = "k2"
 K3 = "k3"
@@ -164,7 +164,6 @@ class SolverState:
         # traversal scratch, epoch-stamped
         self.enq_epoch = [0] * (2 * n)
         self.epoch = 0
-        self.survivors = SurvivorArray(0)
         # walk consumption, stamped once per region decomposition
         self.split_used = [0] * n
         self.cross_used: list[int] = []
@@ -287,16 +286,7 @@ class SolverState:
     def _sparsify_in(self, v: int, in_neighbors: list[int]) -> list[int]:
         t = self.f_size
         self.sparsify_units += len(in_neighbors) + t
-        if not in_neighbors:
-            return []
-        arr = self.survivors
-        arr.resize(t)
-        arr.begin()
-        topo_pos = self.dag.topo_pos
-        path_of = self.path_of
-        for u in in_neighbors:
-            arr.offer(path_of[u] - 1, u, topo_pos)
-        return arr.survivors()
+        return sparsify_vertex(in_neighbors, self.path_of, self.dag.topo_pos, t)
 
     def _install(self, v: int, survivors: list[int]) -> None:
         for u in survivors:

@@ -1,124 +1,91 @@
 """Cover-guided transitive sparsification.
 
 With a path cover of size t, any vertex keeps at most t incoming edges: per
-cover path at most one in-neighbor survives, and every dropped edge is
-transitive through a survivor on the same path.
+cover path at most one in-neighbor survives, the topologically last one, and
+every dropped edge is transitive through it. `last_per_path` is that rule,
+one dict filled in one pass over the in-neighbors; the solver,
+`sparsify_vertex` and `sparsify_all` all pick their survivors with it.
 """
 from __future__ import annotations
 
-from .dag import Dag, PathCover, build_dag
+from .dag import Dag, PathCover
+from .dag import build_dag  # noqa: F401  the benchmark's dag.build hook targets this binding
 from .errors import BadPathId, NotACover
+from .oracle import validate_cover
 
 
-class SurvivorArray:
-    """Reusable per-path-id survivor slots with epoch stamping.
-
-    Reset is O(1): bumping the epoch invalidates all slots, so repeated
-    per-vertex sparsification never pays O(t) reinitialization. A slot may be
-    pinned, in which case later candidates never displace it.
-    """
-
-    __slots__ = ("t", "best", "stamp", "pinned", "epoch", "hit")
-
-    def __init__(self, t: int):
-        self.t = t
-        self.best = [-1] * t
-        self.stamp = [0] * t
-        self.pinned = [0] * t
-        self.epoch = 0
-        self.hit: list[int] = []
-
-    def resize(self, t: int) -> None:
-        if t > self.t:
-            grow = t - self.t
-            self.best.extend([-1] * grow)
-            self.stamp.extend([0] * grow)
-            self.pinned.extend([0] * grow)
-            self.t = t
-
-    def begin(self) -> None:
-        self.epoch += 1
-        self.hit.clear()
-
-    def pin(self, slot: int, u: int) -> None:
-        """Force slot (0-based) to u for the current vertex."""
-        self.stamp[slot] = self.epoch
-        self.pinned[slot] = self.epoch
-        self.best[slot] = u
-        self.hit.append(slot)
-
-    def offer(self, slot: int, u: int, topo_pos) -> None:
-        if not (0 <= slot < self.t):
-            raise BadPathId(f"path id {slot + 1} outside [1, {self.t}]")
-        if self.stamp[slot] != self.epoch:
-            self.stamp[slot] = self.epoch
-            self.best[slot] = u
-            self.hit.append(slot)
-        elif self.pinned[slot] != self.epoch and topo_pos[u] > topo_pos[self.best[slot]]:
-            self.best[slot] = u
-
-    def survivors(self) -> list[int]:
-        """Selected in-neighbors, in increasing path-id order."""
-        self.hit.sort()
-        return [self.best[p] for p in self.hit]
+def last_per_path(in_neighbors, path_id, topo_pos) -> dict[int, int]:
+    """Map each path id path_id[u] to its in-neighbor u with maximal topo_pos."""
+    best: dict[int, int] = {}
+    for u in in_neighbors:
+        p = path_id[u]
+        w = best.get(p)
+        if w is None or topo_pos[u] > topo_pos[w]:
+            best[p] = u
+    return best
 
 
 def sparsify_vertex(in_neighbors: list[int], path_id, topo_pos, t: int) -> list[int]:
     """Sparsify one vertex's incoming edges to at most t survivors.
 
     Per path id, the in-neighbor with maximal topological position is kept;
-    the dropped edges are transitive through the kept one. path_id maps an
-    in-neighbor to the id (in [1, t]) of some cover path containing it and
-    may be a callable or an indexable sequence.
+    the dropped edges are transitive through the kept one. path_id is an
+    indexable sequence giving each in-neighbor the id (in [1, t]) of some
+    cover path containing it; an id outside that range raises BadPathId.
+    Survivors come in increasing path-id order.
     """
-    lookup = path_id if callable(path_id) else path_id.__getitem__
-    arr = SurvivorArray(t)
-    arr.begin()
-    for u in in_neighbors:
-        arr.offer(lookup(u) - 1, u, topo_pos)
-    return arr.survivors()
+    best = last_per_path(in_neighbors, path_id, topo_pos)
+    ids = sorted(best)
+    if ids and (ids[0] < 1 or ids[-1] > t):
+        bad = ids[0] if ids[0] < 1 else ids[-1]
+        raise BadPathId(f"path id {bad} outside [1, {t}]")
+    return [best[p] for p in ids]
 
 
 def path_id_table(n: int, cover: PathCover) -> list[int]:
-    """path id per vertex, 1-based; the lowest path index containing it wins."""
+    """path id per vertex, 1-based; the lowest path index containing it wins.
+
+    A vertex on no path keeps 0; callers validate the cover first.
+    """
     table = [0] * n
-    for idx, path in enumerate(cover.paths):
-        pid = idx + 1
+    for pid, path in enumerate(cover.paths, 1):
         for v in path:
             if table[v] == 0:
                 table[v] = pid
-    if any(p == 0 for p in table):
-        missing = [v for v in range(n) if table[v] == 0]
-        raise NotACover(f"uncovered vertices: {missing}")
     return table
 
 
 def sparsify_all(dag: Dag, cover: PathCover) -> Dag:
     """Spanning subgraph with in-degrees <= |cover| and identical reachability.
 
-    For every path that enters a vertex, that path's predecessor edge is
-    pinned; remaining slots take the topologically last in-neighbor carrying
-    the slot's id. Either way every dropped edge is transitive through the
-    same path's survivor, so reachability is preserved and the given cover
-    stays valid in the output.
+    The cover is validated first (NotACover otherwise). For every path that
+    enters a vertex, that path's predecessor edge is pinned; remaining slots
+    take the topologically last in-neighbor carrying the slot's id. Either
+    way every dropped edge is transitive through the same path's survivor,
+    so reachability is preserved and the given cover stays valid in the
+    output. The subgraph is assembled directly, without a rebuild: its
+    adjacency lists come out sorted, and dag.topo is also its min-id Kahn
+    order, because that order depends only on reachability.
     """
-    table = path_id_table(dag.n, cover)
-    t = cover.size
-    # cover predecessor edges, grouped by head vertex: v -> [(path idx, u)]
-    pred_by_head: list[list[tuple[int, int]]] = [[] for _ in range(dag.n)]
-    for idx, path in enumerate(cover.paths):
+    report = validate_cover(dag, cover)
+    if not report.ok:
+        raise NotACover("; ".join(report.violations[:3]))
+    n = dag.n
+    table = path_id_table(n, cover)
+    # cover predecessor edges per head vertex: path id -> predecessor
+    pins: list[dict[int, int]] = [{} for _ in range(n)]
+    for pid, path in enumerate(cover.paths, 1):
         for u, v in zip(path, path[1:]):
-            pred_by_head[v].append((idx, u))
+            pins[v][pid] = u
 
-    arr = SurvivorArray(t)
     topo_pos = dag.topo_pos
-    edges = []
-    for v in range(dag.n):
-        arr.begin()
-        for idx, u in pred_by_head[v]:
-            arr.pin(idx, u)
-        for u in dag.in_adj[v]:
-            arr.offer(table[u] - 1, u, topo_pos)
-        for u in arr.survivors():
-            edges.append((u, v))
-    return build_dag(dag.n, edges)
+    out_adj: list[list[int]] = [[] for _ in range(n)]
+    in_adj: list[list[int]] = []
+    for v in range(n):
+        best = last_per_path(dag.in_adj[v], table, topo_pos)
+        best.update(pins[v])
+        kept = sorted(set(best.values()))
+        in_adj.append(kept)
+        for u in kept:
+            out_adj[u].append(v)
+    return Dag(n, out_adj, in_adj, dag.topo, dag.topo_pos)

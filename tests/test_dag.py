@@ -132,3 +132,6 @@ def test_topological_consistency(n, data):
     dag = build_dag(n, edges)
     for u, v in dag.edges():
         assert dag.topo_pos[u] < dag.topo_pos[v]
+    for adj in dag.out_adj + dag.in_adj:
+        assert adj == sorted(adj)
+    assert sorted((u, v) for v in range(n) for u in dag.in_adj[v]) == dag.edges()

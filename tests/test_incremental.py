@@ -7,7 +7,7 @@ import pytest
 from dagwidth import (PathCover, build_dag, check_flow, decompose,
                       flow_from_cover, gen_random_dag, oracle_width, reaches,
                       remark_family, shrink, solve, validate_cover)
-from dagwidth.errors import InvariantViolation, OrderViolation
+from dagwidth.errors import BadPathId, InvariantViolation, OrderViolation
 from dagwidth.incremental import SolverState
 from tests.conftest import corpus_instance
 
@@ -39,6 +39,16 @@ def test_first_insertion_levels(d4):
     assert not result.found and result.min_level == 0
     assert state.lv[0] == 0 and state.lv[1] == 1
     assert state.f_size == 1
+
+
+def test_sparsify_in_rejects_out_of_range_path_id(chain10):
+    # one path exists after vertex 0, so its in-neighbor's id must be 1
+    state = SolverState(chain10, "k2")
+    state.insert_vertex(0, [])
+    for bad in (5, 0):
+        state.path_of[0] = bad
+        with pytest.raises(BadPathId):
+            state.insert_vertex(1, [0])
 
 
 def test_insert_no_neighbors_fails_immediately():

@@ -6,7 +6,7 @@ from dagwidth import (PathCover, build_dag, solve, sparsify_all,
                       sparsify_vertex, validate_cover)
 from dagwidth.errors import BadPathId, NotACover
 from dagwidth.oracle import closure_masks
-from tests.conftest import corpus_instance
+from tests.conftest import corpus_instance, dense_cover
 
 
 def test_sparsify_vertex_drops_transitive(t3):
@@ -45,14 +45,28 @@ def test_sparsify_all_rejects_non_cover(t3):
         sparsify_all(t3, PathCover([[0, 1]]))
 
 
+@pytest.mark.parametrize("paths", [[[0, 2], [1]], [[0, 1, 2], [5]], [[0, 1, 2], []]])
+def test_sparsify_all_rejects_invalid_covers(paths):
+    # a skipped edge, an unknown vertex and an empty path
+    dag = build_dag(3, [(0, 1), (1, 2)])
+    with pytest.raises(NotACover):
+        sparsify_all(dag, PathCover(paths))
+
+
 @pytest.mark.parametrize("seed", [2, 17, 33, 58, 71])
 def test_sparsify_all_preserves_reachability(seed):
     dag = corpus_instance(seed)
-    cover = solve(dag).cover
-    sparse = sparsify_all(dag, cover)
-    assert closure_masks(sparse) == closure_masks(dag)
-    assert max((len(a) for a in sparse.in_adj), default=0) <= cover.size
-    assert validate_cover(sparse, cover).ok
+    for cover in (solve(dag).cover, dense_cover(dag, seed)):
+        sparse = sparsify_all(dag, cover)
+        assert closure_masks(sparse) == closure_masks(dag)
+        assert max((len(a) for a in sparse.in_adj), default=0) <= cover.size
+        assert validate_cover(sparse, cover).ok
+        # the direct build equals a rebuild from the kept edges
+        ref = build_dag(dag.n, sparse.edges())
+        assert sparse.out_adj == ref.out_adj
+        assert sparse.in_adj == ref.in_adj
+        assert sparse.topo == ref.topo
+        assert sparse.topo_pos == ref.topo_pos
 
 
 def test_sparsify_all_keeps_cover_with_shared_vertices():
