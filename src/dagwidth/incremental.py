@@ -20,14 +20,16 @@ auditor after every insertion:
 
 The sparsifier asks for "id of some cover path containing u". The solver
 answers from an explicit flow decomposition: the cover paths (`paths`) and
-each vertex's path id (`path_of`). After a found path it re-reads the
-updated region's flow through `_decompose_region(l)`: a backward walk from
-every end vertex at levels >= l down past level l, with the units each walk
-consumes counted in epoch-stamped per-vertex and per-edge arrays, so one
-raise of the stamp base resets them. Each walk becomes the new suffix of
-the one stored path through its boundary vertex below the region. A failed
-search only adds a one-vertex path. The variant names "k2" and "k3" both
-select this bookkeeping; "k2" is kept as a name for compatibility.
+each vertex's path id (`path_of`). A found path changes the flow only on
+its own edges, so `_k3_repair` splices the stored paths along it: suffixes
+are exchanged at its decreased cross edges, a vertex gains an occurrence
+at a reverse split step and loses one at a slack split step, and the
+suffix left over joins the path that ended at the end vertex. The work is
+proportional to the suffixes moved; only a lookup whose `path_of` hint
+misses scans the stored paths, and then only their parts at levels >= l.
+A failed search only adds a one-vertex path. The variant names "k2" and
+"k3" both select this bookkeeping; "k2" is kept as a name for
+compatibility.
 
 Path maintenance runs on the pre-merge levels; the merge only relabels.
 
@@ -164,16 +166,13 @@ class SolverState:
         # traversal scratch, epoch-stamped
         self.enq_epoch = [0] * (2 * n)
         self.epoch = 0
-        # walk consumption, stamped once per region decomposition
-        self.split_used = [0] * n
-        self.cross_used: list[int] = []
-        self.walk_base = 0
         # cover bookkeeping: the flow decomposition and each vertex's path id
         self.paths: list[list[int]] = []
         self.path_of = [0] * n
         # instrumentation
         self.charge_units = 0
         self.sparsify_units = 0
+        self.repair_units = 0
         self.merges = 0
         self.last_merge = False
         # debug auditor state
@@ -219,6 +218,7 @@ class SolverState:
             "total_units": self.charge_units + self.sparsify_units,
             "traversal_units": self.charge_units,
             "sparsify_units": self.sparsify_units,
+            "repair_units": self.repair_units,
             "merges": self.merges,
         }
 
@@ -294,7 +294,6 @@ class SolverState:
             self.cross_tail.append(u)
             self.cross_head.append(v)
             self.cross_f.append(0)
-            self.cross_used.append(0)
             self.in_cross[v].append(eid)
         self.split_f[v] = 1
         self.srcin_f[v] = 1
@@ -410,7 +409,7 @@ class SolverState:
         self.charge_units += (self.f_size + 1) * len(result._popped) + region
 
         if found:
-            self._k3_repair(l)
+            self._k3_repair(result, v, l)
         else:
             self.paths.append([v])
             self.path_of[v] = len(self.paths)
@@ -454,107 +453,113 @@ class SolverState:
 
     # ------------------------------------------------------ cover bookkeeping
 
-    def _k3_repair(self, l: int) -> None:
-        """Re-decompose the flow on levels >= l and rejoin the cover prefixes.
+    def _k3_repair(self, result: TraversalResult, v: int, l: int) -> None:
+        """Splice the stored paths along the found decrementing path.
 
-        Runs only after a found path, so l >= 1: the path ends at an end
-        vertex's out-half, which lies above level 0 (invariant B), and every
-        stored path keeps a prefix below the region. A walk's boundary
-        vertex has its split edge across level l, so by invariant A it
-        carries one unit and lies on exactly one stored path, `path_of` of
-        it. That path's part at levels >= l is replaced by the walk.
-        Suffixes are applied in increasing path id.
+        The flow changed only on the path's edges, so the paths follow it
+        with suffix exchanges. A dangling suffix D, first `[v]` (its source
+        unit is gone), travels along the path from v's in-half:
+
+          - a decreased cross edge (u, w) cuts the stored path that steps
+            u -> w after u, appends D there and carries the cut-off suffix
+            as the new D;
+          - a reverse split step (+1 on u's split) prepends u to D;
+          - a slack split step (-1 on u's split) drops D's head u; if the
+            next decreased edge is D's own former first step, that drop
+            already took it away;
+          - at the end vertex, D is appended to the path that ends there.
+
+        Increased cross edges need no move: each joins the vertex just
+        left to D's head. Path ids never change, and only the vertices of
+        an appended D, plus a dropped head, get a new `path_of`. Runs only
+        after a found path and before the merge, so l >= 1 and the stored
+        paths stay level-monotone: every step the splice looks for lies in
+        their parts at levels >= l, which bound a lookup whose `path_of`
+        hint misses. D is kept reversed, its head last.
         """
-        lv = self.lv
-        path_of = self.path_of
+        pred = result._pred
+        steps = []
+        code = result._last
+        while code != _SENTINEL:
+            code, ekey, is_rev = pred[code]
+            steps.append((ekey, is_rev))
         paths = self.paths
-        walks = self._decompose_region(l)
-        walks.sort(key=lambda suffix: path_of[suffix[0]])
-        last = 0
-        for suffix in walks:
-            boundary = suffix[0]
-            pid = path_of[boundary]
-            if pid == last:
-                raise InvariantViolation(f"two suffixes for path {pid}")
-            last = pid
+        path_of = self.path_of
+        dangling = [v]
+        dropped = -1
+        units = 0
+        for ekey, is_rev in reversed(steps):
+            if ekey < 0:
+                u = -ekey - 1
+                if is_rev:
+                    dangling.append(u)
+                    continue
+                if dangling[-1] != u:
+                    raise InvariantViolation(f"slack split of {u} is not the dangling head")
+                dangling.pop()
+                dropped = u
+                pid, _, scanned = self._find(u, -1, l)
+                path_of[u] = pid
+                units += scanned
+                continue
+            if is_rev:
+                continue
+            u, w = self.cross_tail[ekey], self.cross_head[ekey]
+            if u == dropped and dangling[-1] == w:
+                continue
+            pid, i, scanned = self._find(u, w, l)
             path = paths[pid - 1]
-            if lv[2 * path[-1] + 1] < l:
-                raise InvariantViolation(f"path {pid} ends below the region")
-            j = len(path) - 1
-            while j >= 0 and lv[2 * path[j]] >= l:
-                j -= 1
-            if j < 0 or path[j] != boundary:
-                raise InvariantViolation(f"boundary {boundary} is not on its path {pid}")
-            path[j + 1:] = suffix[1:]
-            for x in suffix[1:]:
+            cut = path[:i:-1]
+            del path[i + 1:]
+            path.extend(reversed(dangling))
+            for x in dangling:
                 path_of[x] = pid
+            units += scanned + len(cut) + len(dangling)
+            dangling = cut
+        a = result._last >> 1
+        pid, i, scanned = self._find(a, -1, l)
+        path = paths[pid - 1]
+        if i != len(path) - 1:
+            raise InvariantViolation(f"no stored path ends at {a}")
+        path.extend(reversed(dangling))
+        for x in dangling:
+            path_of[x] = pid
+        self.repair_units += units + scanned + len(dangling)
 
-    # ------------------------------------------------------- region walks
+    def _find(self, u: int, w: int, l: int) -> tuple[int, int, int]:
+        """A stored path holding u, followed by w unless w < 0.
 
-    def _decompose_region(self, l: int) -> list[list[int]]:
-        """Decompose the flow on all levels at or above l >= 1 into walks.
-
-        `_k3_repair` reads the cover paths' new suffixes off it. One
-        backward walk per end vertex in the region, each running from a
-        boundary vertex below level l up to its end vertex. Walks start from
-        the smallest end vertices and take the lowest-id positive in-edge,
-        so the result is deterministic. Flow below level l is untouched.
-
-        Raising the consumption base forgets every unit the previous
-        decomposition consumed: a walk consumes at most an edge's flow, and
-        no edge of an acyclic flow carries more than n units.
-        """
-        self.walk_base += self.n + 1
-        lv = self.lv
-        walk = self._walk_back
-        return [walk(e, l) for e in sorted(self.end_set) if lv[2 * e + 1] >= l]
-
-    def _walk_back(self, end: int, l: int) -> list[int]:
-        """Backward flow walk from `end`'s out-vertex down past level l.
-
-        Consumes one unit per edge walked and returns base vertices in path
-        order. The first entry is the vertex whose in-half lies below level
-        l. Since l >= 1 and positive source edges enter level 0 (invariant
-        B), a walk never drains into the source. Consumption is shared by
-        the walks of one region decomposition: each of `split_used` (per
-        vertex) and `cross_used` (per cross edge) holds `walk_base` plus the
-        units consumed, and any value below `walk_base` means none.
+        Returns (path id, index of u, entries scanned). Tries the paths
+        `path_of[u]` and `path_of[w]` first, then every path; each path is
+        scanned back from its end through its part at levels >= l only.
         """
         lv = self.lv
-        split_f = self.split_f
-        cross_f = self.cross_f
-        cross_tail = self.cross_tail
-        in_cross = self.in_cross
-        split_used = self.split_used
-        cross_used = self.cross_used
-        base = self.walk_base
-        seq = []
-        u = end
-        while True:
-            c = split_used[u]
-            if c < base:
-                c = base
-            if c - base >= split_f[u]:
-                raise InvariantViolation(f"split flow exhausted at {u}")
-            split_used[u] = c + 1
-            seq.append(u)
-            if lv[2 * u] < l:
-                break
-            for e in in_cross[u]:
-                c = cross_used[e]
-                if c < base:
-                    c = base
-                if c - base < cross_f[e]:
-                    cross_used[e] = c + 1
-                    u = cross_tail[e]
-                    break
-            else:
-                raise InvariantViolation(f"no positive in-edge at {u}")
-        seq.reverse()
-        return seq
+        paths = self.paths
+        hints = (self.path_of[u],)
+        if w >= 0 and self.path_of[w] != hints[0]:
+            hints += (self.path_of[w],)
+        scanned = 0
+        for pids in (hints, range(1, len(paths) + 1)):
+            for pid in pids:
+                path = paths[pid - 1]
+                j = len(path) - 1
+                while j >= 0 and lv[2 * path[j] + 1] >= l:
+                    scanned += 1
+                    if path[j] == u:
+                        if w < 0 or (j + 1 < len(path) and path[j + 1] == w):
+                            return pid, j, scanned
+                        break
+                    j -= 1
+        if w < 0:
+            raise InvariantViolation(f"no stored path holds {u}")
+        raise InvariantViolation(f"no stored path steps along ({u}, {w})")
 
-    # The benchmark's incremental.k2_links_s hook targets these two names.
-    # Nothing calls them: both variant names run the cover bookkeeping above.
+    # The benchmark's incremental.walk and incremental.k2_links_s hooks
+    # target these three names. Nothing calls them: the splice above needs
+    # no region walks, and both variant names run it.
+    def _walk_back(self, *args) -> None:
+        pass
+
     def maintain_backlinks(self, *args) -> None:
         pass
 

@@ -11,8 +11,8 @@ from .errors import ParseError
 
 
 def _data_lines(text: str) -> list[str]:
-    return [ln.strip() for ln in text.splitlines()
-            if ln.strip() and not ln.lstrip().startswith("#")]
+    return [ln for ln in map(str.strip, text.splitlines())
+            if ln and not ln.startswith("#")]
 
 
 def parse_edge_list(text: str, want_mapping: bool = False):
@@ -50,8 +50,8 @@ def parse_edge_list(text: str, want_mapping: bool = False):
             raise ParseError(f"negative vertex id in {ln!r}")
         raw_edges.append((u, v))
 
-    ids = sorted({x for e in raw_edges for x in e})
-    if ids and ids[-1] >= n:
+    if raw_edges and max(map(max, raw_edges)) >= n:
+        ids = sorted({x for e in raw_edges for x in e})
         if len(ids) > n:
             raise ParseError(f"{len(ids)} distinct ids but n={n}")
         remap = {old: new for new, old in enumerate(ids)}

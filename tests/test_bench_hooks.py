@@ -72,4 +72,6 @@ def test_traced_pipeline_leaves_no_metric_absent():
     assert [k for k, v in values.items() if v == layers.ABSENT] == []
     assert values["incremental.inserts"] == dag.n
     assert values["incremental.k2_links_s"] == 0.0  # kept as a target, never called
+    for walk_metric in ("incremental.walk_s", "incremental.walks", "incremental.walk_steps"):
+        assert values[walk_metric] == 0  # _walk_back is kept as a target, never called
     assert cover.size > 0

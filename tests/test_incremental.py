@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -255,97 +256,7 @@ def test_trace_lines(d4, capsys):
     assert lines[0] == "i=0 found=False l=0 |f|=1 merge=False"
 
 
-# ------------------------------------------------------------ region walks
-
-def _reference_walk_back(state, end, l, consumed):
-    """The backward walk with consumption kept in a tuple-keyed dict."""
-    lv = state.lv
-    seq = []
-    u = end
-    while True:
-        key = ("sp", u)
-        if state.split_f[u] - consumed.get(key, 0) < 1:
-            raise InvariantViolation(f"split flow exhausted at {u}")
-        consumed[key] = consumed.get(key, 0) + 1
-        seq.append(u)
-        if lv[2 * u] < l:
-            break
-        eid = -1
-        for e in state.in_cross[u]:
-            if state.cross_f[e] - consumed.get(("cr", e), 0) > 0:
-                eid = e
-                break
-        if eid < 0:
-            raise InvariantViolation(f"no positive in-edge at {u}")
-        consumed[("cr", eid)] = consumed.get(("cr", eid), 0) + 1
-        u = state.cross_tail[eid]
-    seq.reverse()
-    return seq
-
-
-def _reference_decompose_region(state, l):
-    consumed: dict = {}
-    return [_reference_walk_back(state, e, l, consumed)
-            for e in sorted(state.end_set) if state.lv[2 * e + 1] >= l]
-
-
-def _solve_checking_walks(dag, variant):
-    """Solve, comparing every region decomposition with the reference walk.
-
-    Walks only read the flow, so the reference runs first on the same flow
-    the solver's own decomposition then sees. `result()` copies the stored
-    paths and runs no decomposition. Returns the levels the insertions'
-    decompositions ran at and the most walks that passed through one vertex
-    in one decomposition.
-    """
-    state = SolverState(dag, variant)
-    decompose = state._decompose_region
-    levels: list[int] = []
-    most = 0
-
-    def checked(l):
-        nonlocal most
-        want = _reference_decompose_region(state, l)
-        got = decompose(l)
-        assert got == want, (variant, state.count, l)
-        levels.append(l)
-        seen: dict[int, int] = {}
-        for walk in got:
-            for x in walk:
-                seen[x] = seen.get(x, 0) + 1
-        most = max([most, *seen.values()])
-        return got
-
-    state._decompose_region = checked
-    for v in dag.topo:
-        state.insert_vertex(v, dag.in_adj[v])
-    inserting = len(levels)
-    assert state.result().cover.size == state.f_size
-    assert len(levels) == inserting
-    return levels, most
-
-
-def _differential_dags():
-    """Graphs with the most walks one vertex carries, where that is known."""
-    for seed in range(200):
-        yield corpus_instance(seed), None
-    for s in (1, 2, 3):
-        yield gen_random_dag(300, 30, 0.5, s), None
-    for n in range(2, 9):
-        yield remark_family(n), n  # every hub carries n units of split flow
-    yield build_dag(36, DOUBLED_SPLIT_EDGES), None
-
-
-def test_region_walks_match_dict_reference():
-    for variant in ("k2", "k3"):
-        levels = []
-        for dag, hub_units in _differential_dags():
-            at, most = _solve_checking_walks(dag, variant)
-            levels += at
-            assert hub_units is None or most == hub_units, (variant, dag.n)
-        assert max(levels) >= 1, variant
-        assert min(levels) >= 1, variant  # decompositions follow found paths only
-
+# ------------------------------------------------------------ path splices
 
 def _solved(dag, variant):
     state = SolverState(dag, variant)
@@ -354,51 +265,166 @@ def _solved(dag, variant):
     return state
 
 
-# Corpus DAG 11 ends with three levels: at l = 1 its five walks take 37
-# steps, three of them through one vertex.
-LAYERED = 11
+def _splice_moves(dag, variant="k3"):
+    """Solve under the debug audit, counting the splice's moves.
+
+    Each found path's pred chain is read before `_k3_repair` splices along
+    it: reverse split steps prepend a new occurrence, slack split steps drop
+    D's head, and decreased cross edges either cut a stored path (counted
+    at the `_find` lookup of the step) or are skipped as a dropped head's
+    own first step. Every found path ends with one end-vertex append.
+    """
+    state = SolverState(dag, variant, debug=True)
+    moves = Counter()
+    find = state._find
+    repair = state._k3_repair
+
+    def counted(u, w, l):
+        if w >= 0:
+            moves["cut"] += 1
+        return find(u, w, l)
+
+    def recorded(result, v, l):
+        moves["end"] += 1
+        code = result._last
+        while code != -1:
+            code, ekey, is_rev = result._pred[code]
+            if ekey < 0:
+                moves["prepend" if is_rev else "drop"] += 1
+            elif not is_rev:
+                moves["decreased"] += 1
+        repair(result, v, l)
+
+    state._find = counted
+    state._k3_repair = recorded
+    for v in dag.topo:
+        state.insert_vertex(v, dag.in_adj[v])
+    moves["skip"] = moves.pop("decreased", 0) - moves["cut"]
+    return state, moves
+
+
+def test_splice_appends_at_end_vertex():
+    state, moves = _splice_moves(build_dag(3, [(0, 1), (1, 2)]))
+    assert state.paths == [[0, 1, 2]]
+    assert moves == Counter(end=2)
+    # per append: the end vertex found at its path's end, one vertex relabelled
+    assert state.charge_counters()["repair_units"] == 4
+
+
+def test_splice_exchanges_at_decreased_cross_edge():
+    # 3 takes 0's unit on (0, 2); the cut-off [2] moves to the end vertex 1
+    state, moves = _splice_moves(build_dag(4, [(0, 2), (1, 2), (0, 3)]))
+    assert state.paths == [[0, 3], [1, 2]]
+    assert state.path_of == [1, 2, 2, 1]
+    assert moves == Counter(end=2, cut=1)
+
+
+def test_splice_prepends_at_reverse_split():
+    # 4 reaches the end vertex 1 back through a second unit on 2's split
+    state, moves = _splice_moves(build_dag(5, [(0, 2), (1, 2), (2, 3), (2, 4)]))
+    assert state.paths == [[0, 2, 3], [1, 2, 4]]
+    assert state.split_f[2] == 2
+    assert moves == Counter(end=3, prepend=1)
+
+
+def test_splice_drops_head_at_slack_split():
+    dag = gen_random_dag(40, 30, 0.5, 9)
+    state, moves = _splice_moves(dag)
+    assert moves["drop"] == 1 and moves["skip"] == 0
+    assert len(state.paths) == oracle_width(dag)
+
+
+def test_splice_skips_dropped_heads_own_first_step():
+    dag = gen_random_dag(40, 12, 1.0, 0)
+    state, moves = _splice_moves(dag)
+    assert moves["drop"] == moves["skip"] == 2
+    assert len(state.paths) == oracle_width(dag)
+
+
+def _splice_dags():
+    for n in range(2, 9):
+        yield remark_family(n)  # every hub carries n units of split flow
+    yield build_dag(36, DOUBLED_SPLIT_EDGES)
+    for s in (1, 2, 3):
+        yield gen_random_dag(300, 30, 0.5, s)
+
+
+def test_splice_moves_on_structured_and_random_graphs():
+    total = Counter()
+    for variant in ("k2", "k3"):
+        for dag in _splice_dags():
+            state, moves = _splice_moves(dag, variant)
+            assert len(state.paths) == oracle_width(dag), (variant, dag.n)
+            assert moves["skip"] >= 0, (variant, dag.n)
+            total += moves
+    assert set(total) == {"end", "cut", "prepend", "drop", "skip"}
+
+
+def test_splice_falls_back_to_a_region_scan():
+    # both hints for the step (0, 2) name the path [1]; the scan finds [0, 2]
+    dag = build_dag(4, [(0, 2), (1, 2), (0, 3)])
+    state = SolverState(dag, "k3")
+    for v in (0, 1, 2):
+        state.insert_vertex(v, dag.in_adj[v])
+    assert state.paths == [[0, 2], [1]]
+    state.path_of[0] = state.path_of[2] = 2
+    state.insert_vertex(3, dag.in_adj[3])
+    assert state.paths == [[0, 3], [1, 2]]
+    assert state.path_of[2] == 2 and state.path_of[3] == 1
+
+
+def test_lookups_scan_only_the_parts_at_levels_from_l():
+    state = _solved(remark_family(4), "k3")
+    x = max(state.paths, key=len)[0]
+    pid = state.path_of[x]
+    l = state.lv[2 * x + 1]
+    assert state._find(x, -1, l) == (pid, 0, len(state.paths[pid - 1]))
+    with pytest.raises(InvariantViolation, match=f"^no stored path holds {x}$"):
+        state._find(x, -1, l + 1)
 
 
 @pytest.mark.parametrize("variant", ["k2", "k3"])
-def test_region_decomposition_repeats_on_unchanged_flow(variant):
-    state = _solved(corpus_instance(LAYERED), variant)
-    lv = state.lv
-    first = state._decompose_region(1)
-    assert state._decompose_region(1) == first
-    # every unit of split flow whose out-half lies in the region is walked
-    assert sum(map(len, first)) == sum(
-        state.split_f[u] for u in range(state.n) if lv[2 * u + 1] >= 1)
-    assert len(first) == len(state.end_set) == state.f_size
-    assert all(lv[2 * walk[0]] < 1 <= lv[2 * x] for walk in first for x in walk[1:])
+def test_repair_flags_path_without_decreased_step(variant):
+    # the flow still carries (0, 2), but no stored path steps along it
+    dag = build_dag(4, [(0, 2), (1, 2), (0, 3)])
+    state = SolverState(dag, variant)
+    for v in (0, 1, 2):
+        state.insert_vertex(v, dag.in_adj[v])
+    state.paths[:] = [[0], [1, 2]]
+    with pytest.raises(InvariantViolation,
+                       match=r"^no stored path steps along \(0, 2\)$"):
+        state.insert_vertex(3, dag.in_adj[3])
+
+
+def test_repair_units_stay_out_of_the_charged_total():
+    charges = solve(gen_random_dag(300, 30, 0.5, 2)).charges
+    assert charges["repair_units"] > 0
+    assert charges["total_units"] == charges["traversal_units"] + charges["sparsify_units"]
 
 
 @pytest.mark.parametrize("variant", ["k2", "k3"])
-def test_walk_flags_missing_split_flow(variant):
-    state = _solved(corpus_instance(LAYERED), variant)
-    end = min(state.end_set)  # the first walk starts on its split edge
-    state.split_f[end] -= 1
-    with pytest.raises(InvariantViolation, match=f"^split flow exhausted at {end}$"):
-        state._decompose_region(1)
+def test_result_flags_missing_split_flow(variant):
+    state = _solved(corpus_instance(11), variant)
+    hub = max(range(state.n), key=state.split_f.__getitem__)
+    assert state.split_f[hub] >= 2
+    state.split_f[hub] -= 1
+    with pytest.raises(InvariantViolation, match="^stored paths do not match the split flow$"):
+        state.result()
 
 
 @pytest.mark.parametrize("variant", ["k2", "k3"])
-def test_walk_flags_missing_cross_flow(variant):
-    state = _solved(corpus_instance(LAYERED), variant)
-    lv = state.lv
+def test_result_flags_missing_cross_flow(variant):
+    state = _solved(corpus_instance(11), variant)  # ends with three levels
     e = next(e for e in range(len(state.cross_f))
-             if state.cross_f[e] > 0 and lv[2 * state.cross_head[e]] >= 1)
+             if state.cross_f[e] > 0 and state.lv[2 * state.cross_head[e]] >= 1)
     tail, head = state.cross_tail[e], state.cross_head[e]
-    # at l = 1 the walks pass head's split split_f[head] times, and its in-edges
-    # are one unit short of that
     state.cross_f[e] -= 1
-    with pytest.raises(InvariantViolation, match=f"^no positive in-edge at {head}$"):
-        state._decompose_region(1)
     with pytest.raises(InvariantViolation,
                        match=rf"^stored paths do not match the flow on \({tail}, {head}\)$"):
         state.result()
 
 
-# ------------------------------------------------------- result from walks
+# ------------------------------------------------------- result
 
 def _lazy_flow_dags():
     for seed in range(200):
@@ -504,37 +530,6 @@ def test_result_flags_swapped_path_vertices(variant):
     path[1], path[2] = path[2], path[1]
     with pytest.raises(InvariantViolation, match="^stored path"):
         state.result()
-
-
-@pytest.mark.parametrize("variant", ["k2", "k3"])
-def test_repair_flags_wrong_path_of_at_boundary(variant):
-    dag = corpus_instance(LAYERED)
-    # the first repair with two or more paths, and a boundary it walks to
-    state = SolverState(dag, variant)
-    decompose = state._decompose_region
-    repairs = []
-
-    def recorded(l):
-        walks = decompose(l)
-        repairs.append((state.count, len(state.paths), walks[0][0]))
-        return walks
-
-    state._decompose_region = recorded
-    for v in dag.topo:
-        state.insert_vertex(v, dag.in_adj[v])
-    count, npaths, boundary = next(r for r in repairs if r[1] >= 2)
-
-    state = SolverState(dag, variant)
-    for v in dag.topo[:count - 1]:
-        state.insert_vertex(v, dag.in_adj[v])
-    wrong = state.path_of[boundary] % npaths + 1
-    state.path_of[boundary] = wrong
-    v = dag.topo[count - 1]
-    with pytest.raises(InvariantViolation,
-                       match=f"^(boundary {boundary} is not on its path {wrong}"
-                             f"|path {wrong} ends below the region"
-                             f"|two suffixes for path {wrong})$"):
-        state.insert_vertex(v, dag.in_adj[v])
 
 
 def test_result_flags_uninserted_vertex(d4):
