@@ -31,7 +31,12 @@ A failed search only adds a one-vertex path. The variant names "k2" and
 "k3" both select this bookkeeping; "k2" is kept as a name for
 compatibility.
 
-Path maintenance runs on the pre-merge levels; the merge only relabels.
+Path maintenance runs on the pre-merge levels. Each level keeps a bucket
+of its codes and a count of them. A vertex that sinks is appended to its
+new bucket and leaves a stale entry in the old one; the charged region is
+summed from the counts, so an insertion touches only what it moves. A
+merge relabels the live entries of the buckets at levels >= l and drops
+their stale ones on the way.
 
 The final cover is a copy of the stored paths, checked to decompose the
 flow exactly. No flow network or flow is built unless a result's
@@ -159,9 +164,13 @@ class SolverState:
         self.out_pos: list[list[int]] = [[] for _ in range(n)]
         self.f_size = 0
         self.end_set: set[int] = set()
-        # levels: network vertex code x (v_in = 2v, v_out = 2v+1) -> level
+        # levels: network vertex code x (v_in = 2v, v_out = 2v+1) -> level.
+        # Bucket j holds every inserted code at level j, live when
+        # lv[x] == j, plus stale entries of codes that sank below j, which
+        # only a merge drops. size[j] counts the inserted codes at level j.
         self.lv = [0] * (2 * n)
         self.buckets: list[list[int]] = [[]]
+        self.size = [0]
         self.cut_demand: list[int] = []
         # traversal scratch, epoch-stamped
         self.enq_epoch = [0] * (2 * n)
@@ -382,30 +391,35 @@ class SolverState:
         else:
             self.end_set.add(v)
 
-        # level updates: visited vertices and the new split sink to (l, l+1)
+        # level updates: visited vertices and the new split sink to (l, l+1);
+        # a vertex that sinks leaves a stale entry in its old bucket
+        buckets = self.buckets
+        size = self.size
+        bucket = buckets[l]
         for x in result._popped:
-            if lv[x] != l:
+            j = lv[x]
+            if j != l:
+                size[j] -= 1
+                size[l] += 1
                 lv[x] = l
-                self.buckets[l].append(x)
+                bucket.append(x)
         lv[2 * v] = l
-        self.buckets[l].append(2 * v)
+        bucket.append(2 * v)
+        size[l] += 1
         if l + 1 > self.max_level:
-            self.buckets.append([])
+            buckets.append([])
+            size.append(0)
             self.cut_demand.append(0)
         lv[2 * v + 1] = l + 1
-        self.buckets[l + 1].append(2 * v + 1)
+        buckets[l + 1].append(2 * v + 1)
+        size[l + 1] += 1
         self.cut_demand[l] += 1
 
         if self.debug:
             self._premerge_out_levels = {u: lv[2 * u + 1] for u in self.end_set}
 
         # charged region: everything at level l or above, pre-merge
-        region = 0
-        for j in range(l, len(self.buckets)):
-            bucket = self.buckets[j]
-            if bucket:
-                self.buckets[j] = bucket = [x for x in bucket if lv[x] == j]
-                region += len(bucket)
+        region = sum(size[l:])
         self.charge_units += (self.f_size + 1) * len(result._popped) + region
 
         if found:
@@ -419,13 +433,19 @@ class SolverState:
         if l >= 1 and self.cut_demand[l] == self.cut_demand[l - 1]:
             self.last_merge = True
             self.merges += 1
-            # the charged-region loop left only members in buckets l and up
-            moved = self.buckets[l:]
-            for j, bucket in enumerate(moved, start=l - 1):
-                for x in bucket:
-                    lv[x] = j
-            self.buckets[l - 1].extend(moved[0])
-            del self.buckets[l]
+            # Levels l and up shift down by one. Only their live entries
+            # move, and the stale ones are dropped: a stale entry sits above
+            # its vertex's level, so the shift could make the two match.
+            # Below l no level moves, and stale entries there stay stale.
+            for j in range(l, len(buckets)):
+                live = [x for x in buckets[j] if lv[x] == j]
+                for x in live:
+                    lv[x] = j - 1
+                buckets[j] = live
+            buckets[l - 1].extend(buckets[l])
+            del buckets[l]
+            size[l - 1] += size[l]
+            del size[l]
             del self.cut_demand[l - 1]
 
     def _apply_flow_deltas(self, result: TraversalResult, v: int, a: int) -> None:
@@ -622,6 +642,19 @@ class SolverState:
         top = max((max(lv[2 * u], lv[2 * u + 1]) for u in inserted), default=0)
         if inserted and top != m:
             raise InvariantViolation(f"max level {top} != cut table size {m}")
+        # level sizes and buckets: every inserted code live once in its bucket
+        at_level: list[list[int]] = [[] for _ in range(m + 1)]
+        for x in range(2 * n):
+            if self.inserted[x >> 1]:
+                at_level[lv[x]].append(x)
+        if len(self.size) != m + 1 or len(self.buckets) != m + 1:
+            raise InvariantViolation("level size or bucket table has the wrong length")
+        for j, members in enumerate(at_level):
+            if self.size[j] != len(members):
+                raise InvariantViolation(
+                    f"size of level {j} wrong: {self.size[j]} != {len(members)}")
+            if sorted(x for x in self.buckets[j] if lv[x] == j) != members:
+                raise InvariantViolation(f"bucket {j} does not hold its level's codes once")
         # end vertices track the sink edges exactly
         if self.end_set != {u for u in inserted if self.outsink_f[u] > 0}:
             raise InvariantViolation("end vertex set out of sync")

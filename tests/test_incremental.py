@@ -402,6 +402,71 @@ def test_repair_units_stay_out_of_the_charged_total():
     assert charges["total_units"] == charges["traversal_units"] + charges["sparsify_units"]
 
 
+# ------------------------------------------------------- level upkeep
+
+def _two_levels_then_isolated():
+    # 0 -> 1 ends in a merge that leaves only 1's out-half on level 1; the
+    # isolated 2 then fails its search at l = 0 and moves no other code
+    dag = build_dag(3, [(0, 1)])
+    state = SolverState(dag, "k3", debug=True)
+    for v in (0, 1):
+        state.insert_vertex(v, dag.in_adj[v])
+    return dag, state
+
+
+def test_audit_flags_wrong_level_size():
+    dag, state = _two_levels_then_isolated()
+    state.size[1] += 1
+    with pytest.raises(InvariantViolation, match=r"^size of level 1 wrong: 3 != 2$"):
+        state.insert_vertex(2, dag.in_adj[2])
+
+
+def test_audit_flags_code_missing_from_its_bucket():
+    dag, state = _two_levels_then_isolated()
+    x = state.buckets[1].pop()
+    assert state.lv[x] == 1
+    with pytest.raises(InvariantViolation,
+                       match="^bucket 1 does not hold its level's codes once$"):
+        state.insert_vertex(2, dag.in_adj[2])
+
+
+def test_charged_region_counts_codes_at_levels_from_l():
+    """charge_units is (|f| + 1) * popped + region per insertion, with the
+    region recounted from the levels the merge has not yet shifted."""
+    for dag in [remark_family(6)] + [gen_random_dag(300, 30, 0.5, s) for s in (1, 2, 3)]:
+        state = SolverState(dag, "k3")
+        repair = state._k3_repair
+        regions = []
+
+        def recounted(result, v, l):
+            regions.append(sum(state.inserted[x >> 1] and state.lv[x] >= l
+                               for x in range(2 * state.n)))
+            repair(result, v, l)
+
+        state._k3_repair = recounted
+        expected = merges = 0
+        for v in dag.topo:
+            result = state.insert_vertex(v, dag.in_adj[v])
+            # a failed search charges l = 0: every inserted code
+            region = regions.pop() if result.found else 2 * state.count
+            expected += (state.f_size + 1) * len(result._popped) + region
+            merges += state.last_merge
+        assert merges > 0 and not regions
+        assert state.charge_units == expected, dag.n
+
+
+def test_stale_bucket_entries_stay_bounded():
+    # entries are appended two per insertion and one per sunk pop; only
+    # merges drop stale ones
+    dag = gen_random_dag(3000, 128, 0.5, 7)
+    state = SolverState(dag, "k3")
+    pops = 0
+    for v in dag.topo:
+        pops += len(state.insert_vertex(v, dag.in_adj[v])._popped)
+    assert sum(map(len, state.buckets)) <= 2 * dag.n + pops
+    assert sum(state.size) == 2 * dag.n
+
+
 @pytest.mark.parametrize("variant", ["k2", "k3"])
 def test_result_flags_missing_split_flow(variant):
     state = _solved(corpus_instance(11), variant)
