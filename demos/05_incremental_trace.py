@@ -17,7 +17,7 @@ for v in dag.topo:
     result = state.insert_vertex(v, dag.in_adj[v])
     print(f"{v:>6} {str(result.found):>6} {result.min_level:>6} "
           f"{state.f_size:>4} {str(state.cut_demand):>12} "
-          f"{sorted(state.end_set)}")
+          f"{[u for u in range(dag.n) if state.outsink_f[u]]}")
 
 final = state.result()
 print(f"\nfinal cover ({final.cover.size} paths):")

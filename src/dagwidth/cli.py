@@ -3,9 +3,9 @@
 Subcommands: mpc, antichain, mcc, sparsify, thin, gen, bench. Graphs are
 read and written in the shared edge-list format; covers in the path-cover
 format. Every output names vertices by the labels of the input, even when
-those are sparse. Exit codes: 0 ok, 1 input error, 2 verification failure,
-3 internal invariant violation. DAGWIDTH_DEBUG=1 turns on per-insertion
-auditing and trace lines.
+those are sparse. Exit codes: 0 ok, 1 input or usage error, 2 verification
+failure, 3 internal invariant violation; errors print one line to stderr.
+DAGWIDTH_DEBUG=1 turns on per-insertion auditing and trace lines.
 """
 from __future__ import annotations
 
@@ -31,10 +31,36 @@ VARIANT_HELP = ("solver bookkeeping; k2 and k3 run the same code, "
                 "k2 is kept as a name for compatibility")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line and exits 1, as for any bad input,
+    so that exit 2 means only a failed verification."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {message}; see {self.prog} --help\n")
+
+
+def _size_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _read_graph(path: str) -> tuple[Dag, list[int]]:
     """The graph on dense ids, and mapping[id] = the input's label for id."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return io.parse_edge_list(fh.read(), want_mapping=True)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return io.parse_edge_list(text, want_mapping=True)
 
 
 def _labelled(cover: PathCover, mapping: list[int]) -> PathCover:
@@ -167,9 +193,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
     rows = []
-    for idx, n in enumerate(sizes):
+    for idx, n in enumerate(args.sizes):
         dag = gen_random_dag(n, args.k, args.extra, args.seed + idx)
         times = []
         charges = 0
@@ -187,7 +212,7 @@ def cmd_bench(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dagwidth",
         description="Minimum path covers, antichains and sparsification of DAGs")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -236,10 +261,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="timing sweep, CSV n,m,k,variant,ms,charges")
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--sizes", default="10000,20000,40000")
+    p.add_argument("--sizes", type=_size_list, default="10000,20000,40000")
     p.add_argument("--extra", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=_positive_int, default=5)
     p.add_argument("--variant", choices=["k2", "k3"], default="k2",
                    help=VARIANT_HELP)
     p.add_argument("--out")
@@ -252,13 +277,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except DagWidthError as exc:
+    except (DagWidthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -80,16 +80,17 @@ class TraversalResult:
     smallest visited level (0 after a failed search). `_popped` lists the
     popped network vertex codes (v_in = 2v, v_out = 2v+1) in pop order;
     `_last` is the path's last code before the sink (-1 if none), and
-    `_pred` maps each code on the path to (previous code, edge key,
-    reversed), leading back to the new vertex's in-half.
+    `_steps` lists the path's edges from the new vertex's in-half to
+    `_last` as (edge key, reversed) pairs, empty after a failed search.
+    An edge key is a cross edge id, or -(u+1) for u's split edge.
     """
 
-    __slots__ = ("min_level", "_popped", "_pred", "_last")
+    __slots__ = ("min_level", "_popped", "_steps", "_last")
 
-    def __init__(self, min_level: int, popped: list[int], pred: dict, last: int):
+    def __init__(self, min_level: int, popped: list[int], steps: list, last: int):
         self.min_level = min_level
         self._popped = popped
-        self._pred = pred
+        self._steps = steps
         self._last = last
 
     @property
@@ -163,7 +164,6 @@ class SolverState:
         self.in_cross: list[list[int]] = [[] for _ in range(n)]
         self.out_pos: list[list[int]] = [[] for _ in range(n)]
         self.f_size = 0
-        self.end_set: set[int] = set()
         # levels: network vertex code x (v_in = 2v, v_out = 2v+1) -> level.
         # Bucket j holds every inserted code at level j, live when
         # lv[x] == j, plus stale entries of codes that sank below j, which
@@ -204,9 +204,7 @@ class SolverState:
         for u in in_neighbors:
             if not self.inserted[u]:
                 raise OrderViolation(f"in-neighbor {u} of {v} not yet inserted")
-        prev_end = set(self.end_set) if self.debug else None
-        prev_out_levels = ({u: self.lv[2 * u + 1] for u in self.end_set}
-                           if self.debug else None)
+        prev_out_levels = self._end_out_levels() if self.debug else None
 
         survivors = self._sparsify_in(v, in_neighbors)
         self._install(v, survivors)
@@ -214,7 +212,7 @@ class SolverState:
         self.apply_updates(result, v)
 
         if self.debug:
-            self._audit(v, result, prev_end, prev_out_levels)
+            self._audit(v, result, prev_out_levels)
         if self.trace:
             print(f"i={self.count - 1} found={result.found} "
                   f"l={result.min_level} |f|={self.f_size} merge={self.last_merge}",
@@ -348,16 +346,12 @@ class SolverState:
                 y = x - 1  # reverse split edge
                 if enq[y] != epoch:
                     enq[y] = epoch
-                    if self.debug and lv[y] > cur:
-                        raise InvariantViolation("residual edge increases level")
                     queues[lv[y]].append(y)
                     pred[y] = (x, -(u + 1), True)
                 for e in self.out_pos[u]:  # direct cross edges carrying flow
                     y = 2 * self.cross_head[e]
                     if enq[y] != epoch:
                         enq[y] = epoch
-                        if self.debug and lv[y] > cur:
-                            raise InvariantViolation("residual edge increases level")
                         queues[lv[y]].append(y)
                         pred[y] = (x, e, False)
             else:  # u_in
@@ -365,8 +359,6 @@ class SolverState:
                     y = 2 * self.cross_tail[e] + 1
                     if enq[y] != epoch:
                         enq[y] = epoch
-                        if self.debug and lv[y] > cur:
-                            raise InvariantViolation("residual edge increases level")
                         queues[lv[y]].append(y)
                         pred[y] = (x, e, True)
                 if self.split_f[u] > 1:  # direct split edge with slack
@@ -377,19 +369,22 @@ class SolverState:
                         pred[y] = (x, -(u + 1), False)
 
         if found_last < 0:
-            return TraversalResult(0, popped, pred, -1)
-        return TraversalResult(lv[found_last], popped, pred, found_last)
+            return TraversalResult(0, popped, [], -1)
+        steps = []
+        code = found_last
+        while code != _SENTINEL:
+            code, ekey, is_rev = pred[code]
+            steps.append((ekey, is_rev))
+        steps.reverse()
+        return TraversalResult(lv[found_last], popped, steps, found_last)
 
     def apply_updates(self, result: TraversalResult, v: int) -> None:
-        """Flow, level, cut-demand, end-set and cover bookkeeping updates."""
+        """Flow, level, cut-demand and cover bookkeeping updates."""
         lv = self.lv
         found = result._last >= 0
-        l = result.min_level if found else 0
+        l = result.min_level
         if found:
-            a = result._last >> 1
-            self._apply_flow_deltas(result, v, a)
-        else:
-            self.end_set.add(v)
+            self._apply_flow_deltas(result, v, result._last >> 1)
 
         # level updates: visited vertices and the new split sink to (l, l+1);
         # a vertex that sinks leaves a stale entry in its old bucket
@@ -416,7 +411,7 @@ class SolverState:
         self.cut_demand[l] += 1
 
         if self.debug:
-            self._premerge_out_levels = {u: lv[2 * u + 1] for u in self.end_set}
+            self._premerge_out_levels = self._end_out_levels()
 
         # charged region: everything at level l or above, pre-merge
         region = sum(size[l:])
@@ -452,12 +447,7 @@ class SolverState:
         self.f_size -= 1
         self.srcin_f[v] -= 1
         self.outsink_f[a] -= 1
-        self.end_set.discard(a)
-        self.end_set.add(v)
-        code = result._last
-        pred = result._pred
-        while code != _SENTINEL:
-            prev, ekey, is_rev = pred[code]
+        for ekey, is_rev in result._steps:
             delta = 1 if is_rev else -1
             if ekey < 0:
                 self.split_f[-ekey - 1] += delta
@@ -469,7 +459,6 @@ class SolverState:
                     self.out_pos[tail].append(ekey)
                 elif before == 1 and delta == -1:
                     self.out_pos[tail].remove(ekey)
-            code = prev
 
     # ------------------------------------------------------ cover bookkeeping
 
@@ -497,18 +486,12 @@ class SolverState:
         their parts at levels >= l, which bound a lookup whose `path_of`
         hint misses. D is kept reversed, its head last.
         """
-        pred = result._pred
-        steps = []
-        code = result._last
-        while code != _SENTINEL:
-            code, ekey, is_rev = pred[code]
-            steps.append((ekey, is_rev))
         paths = self.paths
         path_of = self.path_of
         dangling = [v]
         dropped = -1
         units = 0
-        for ekey, is_rev in reversed(steps):
+        for ekey, is_rev in result._steps:
             if ekey < 0:
                 u = -ekey - 1
                 if is_rev:
@@ -588,7 +571,12 @@ class SolverState:
 
     # ----------------------------------------------------------------- audit
 
-    def _audit(self, v: int, result: TraversalResult, prev_end, prev_out_levels):
+    def _end_out_levels(self) -> dict[int, int]:
+        """The end vertices (sink edge with flow), each to its out-half's level."""
+        lv = self.lv
+        return {u: lv[2 * u + 1] for u, f in enumerate(self.outsink_f) if f > 0}
+
+    def _audit(self, v: int, result: TraversalResult, prev_out_levels):
         lv = self.lv
         n = self.n
         # ancestor masks over the sparsified prefix, for reachability checks
@@ -655,17 +643,15 @@ class SolverState:
                     f"size of level {j} wrong: {self.size[j]} != {len(members)}")
             if sorted(x for x in self.buckets[j] if lv[x] == j) != members:
                 raise InvariantViolation(f"bucket {j} does not hold its level's codes once")
-        # end vertices track the sink edges exactly
-        if self.end_set != {u for u in inserted if self.outsink_f[u] > 0}:
-            raise InvariantViolation("end vertex set out of sync")
-        if prev_end is not None:
-            removed = {result._last >> 1} if result._last >= 0 else set()
-            if self.end_set != (prev_end | {v}) - removed:
-                raise InvariantViolation("end vertex evolution mismatch")
-            # surviving end vertices kept their level, judged before the merge
-            for u in prev_end - removed - {v}:
-                if self._premerge_out_levels.get(u) != prev_out_levels[u]:
-                    raise InvariantViolation(f"end vertex {u} changed level")
+        # the end vertices gain v and lose the found path's last vertex;
+        # the others keep their level, judged before the merge
+        removed = {result._last >> 1} if result._last >= 0 else set()
+        prev_end = prev_out_levels.keys()
+        if self._premerge_out_levels.keys() != (prev_end | {v}) - removed:
+            raise InvariantViolation("end vertex evolution mismatch")
+        for u in prev_end - removed - {v}:
+            if self._premerge_out_levels[u] != prev_out_levels[u]:
+                raise InvariantViolation(f"end vertex {u} changed level")
         # layered antichains: pairwise unreachable, sizes match the demands
         for level in range(m):
             members = [u for u in inserted if lv[2 * u] <= level < lv[2 * u + 1]]

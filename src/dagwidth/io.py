@@ -2,7 +2,6 @@
 
 Edge-list format: optional '#' comment lines, then "n m", then m lines "u v".
 Path-cover format: first line "t", then t lines of space-separated vertex ids.
-Flow dump (debug): one line per edge, "kind args value".
 """
 from __future__ import annotations
 
@@ -101,19 +100,3 @@ def format_path_cover(cover: PathCover) -> str:
 
 def format_antichain(members) -> str:
     return " ".join(map(str, sorted(members))) + "\n"
-
-
-def format_flow_dump(net, flow) -> str:
-    """Debug dump of a flow, one 'kind args value' line per network edge."""
-    n = net.base.n
-    values = flow.values
-    lines = []
-    for v in range(n):
-        lines.append(f"split {v} {values[v]}")
-    for v in range(n):
-        lines.append(f"srcin {v} {values[n + v]}")
-    for v in range(n):
-        lines.append(f"outsink {v} {values[2 * n + v]}")
-    for j, (u, v) in enumerate(net.cross_edges):
-        lines.append(f"cross {u} {v} {values[3 * n + j]}")
-    return "\n".join(lines) + "\n"

@@ -33,16 +33,15 @@ from .oracle import validate_cover
 
 
 class _Node:
-    __slots__ = ("vertex", "prev", "next", "serial")
+    __slots__ = ("vertex", "prev", "next")
 
-    def __init__(self, vertex: int, serial: int):
+    def __init__(self, vertex: int):
         self.vertex = vertex
         self.prev: _Node | None = None
         self.next: _Node | None = None
-        self.serial = serial
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return f"_Node({self.vertex}@{self.serial})"
+        return f"_Node({self.vertex})"
 
 
 @dataclass
@@ -64,7 +63,7 @@ class SupportGraph:
 
     def __init__(self, cover: PathCover, n: int):
         self.n = n
-        self.occ: dict[tuple[int, int], dict[int, _Node]] = {}
+        self.occ: dict[tuple[int, int], dict[_Node, None]] = {}
         self.degree: dict[int, int] = {}
         self.heads: list[_Node] = []
         self.processed: set[tuple[int, int]] = set()
@@ -80,12 +79,10 @@ class SupportGraph:
         self._vanished: list[tuple[int, int]] = []  # emptied since last search
         # the only place support edges are created
         occ = self.occ
-        serial = 0
         for path in cover.paths:
             prev: _Node | None = None
             for v in path:
-                node = _Node(v, serial)
-                serial += 1
+                node = _Node(v)
                 if prev is None:
                     self.heads.append(node)
                 else:
@@ -94,11 +91,10 @@ class SupportGraph:
                     edge = (prev.vertex, v)
                     entry = occ.get(edge)
                     if entry is None:
-                        occ[edge] = {prev.serial: prev}
+                        occ[edge] = {prev: None}
                     else:
-                        entry[prev.serial] = prev
+                        entry[prev] = None
                 prev = node
-        self._serial = serial
         degree = self.degree
         phi = 0
         for (u, v), entry in occ.items():
@@ -109,22 +105,17 @@ class SupportGraph:
 
     # ------------------------------------------------------------- plumbing
 
-    def _new_node(self, v: int) -> _Node:
-        node = _Node(v, self._serial)
-        self._serial += 1
-        return node
-
     def _register(self, edge: tuple[int, int], tail: _Node) -> None:
         """Add an occurrence of a support edge. Thinning never creates or
         revives an edge, so a missing one raises KeyError."""
         entry = self.occ[edge]
         self._phi += 2 * len(entry) + 1
-        entry[tail.serial] = tail
+        entry[tail] = None
 
     def _unregister(self, edge: tuple[int, int], tail: _Node) -> None:
         entry = self.occ[edge]
         self._phi -= 2 * len(entry) - 1
-        del entry[tail.serial]
+        del entry[tail]
         if not entry:
             del self.occ[edge]
             self.processed.add(edge)
@@ -136,8 +127,8 @@ class SupportGraph:
         """Hand one occurrence of edge from src to dst. The multiplicity,
         and with it degree, processed and phi, stays as it was."""
         entry = self.occ[edge]
-        del entry[src.serial]
-        entry[dst.serial] = dst
+        del entry[src]
+        entry[dst] = None
 
     def mu(self, edge: tuple[int, int]) -> int:
         entry = self.occ.get(edge)
@@ -174,7 +165,7 @@ class SupportGraph:
         entry = self.occ.get(first)
         if not entry:
             raise EdgeUncovered(f"edge {first} lies on no cover path")
-        cur = entry[next(iter(entry))]
+        cur = next(iter(entry))
         chain = [cur, cur.next]
         for u, v in zip(d[1:], d[2:]):
             x = chain[-1]
@@ -185,7 +176,7 @@ class SupportGraph:
             entry = self.occ.get((u, v))
             if not entry:
                 raise EdgeUncovered(f"edge {(u, v)} lies on no cover path")
-            b_u = entry[next(iter(entry))]
+            b_u = next(iter(entry))
             b_v = b_u.next
             # swap the suffix after x with the suffix starting at b_v
             x.next = b_v
@@ -403,7 +394,7 @@ class SupportGraph:
             right = end_node[verts[-1]]
             prev = left
             for v in verts[1:-1]:
-                node = self._new_node(v)
+                node = _Node(v)
                 prev.next = node
                 node.prev = prev
                 self._register((prev.vertex, v), prev)

@@ -38,6 +38,45 @@ def test_mpc_missing_file():
     assert main(["mpc", "/nonexistent/path.txt"]) == 1
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_directory_input_is_input_error(tmp_path, capsys):
+    assert main(["mpc", str(tmp_path)]) == 1
+    assert "Is a directory" in _one_error_line(capsys)
+
+
+def test_non_utf8_input_is_input_error(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"2 1\n0 1\n\xff\n")
+    assert main(["mpc", str(path)]) == 1
+    assert "is not UTF-8 text" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["mpc"], "required: input"),
+    (["mpc", "g.txt", "--bogus"], "unrecognized arguments: --bogus"),
+    (["bench", "--sizes", "10,x"], "argument --sizes"),
+    (["bench", "--repeats", "0"], "argument --repeats"),
+])
+def test_usage_error_exits_1_not_2(argv, says, capsys):
+    # exit 2 is reserved for a failed verification
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert says in _one_error_line(capsys)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mpc", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dagwidth mpc")
+
+
 def test_mpc_stats_line(tmp_path, capsys):
     rc = main(["mpc", _write(tmp_path, "g.txt", D4_TEXT), "--stats"])
     captured = capsys.readouterr()

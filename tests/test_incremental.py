@@ -84,7 +84,7 @@ def test_shortest_decrementing_path_through_end_vertex():
     # from 1_in over the reversed cross edge 0 -> 1
     assert (state.cross_tail[0], state.cross_head[0]) == (0, 1)
     assert result._last == 1
-    assert result._pred == {1: (-1, 0, True)}
+    assert result._steps == [(0, True)]
 
 
 def test_merge_on_two_chain():
@@ -111,7 +111,7 @@ def test_end_vertices_track_flow(d4):
     expected = [{0}, {1}, {1, 2}, {2, 3}]
     for v, want in zip(d4.topo, expected):
         state.insert_vertex(v, d4.in_adj[v])
-        assert state.end_set == want
+        assert {u for u in range(d4.n) if state.outsink_f[u]} == want
 
 
 def _visits_per_vertex(dag):
@@ -268,8 +268,8 @@ def _solved(dag, variant):
 def _splice_moves(dag, variant="k3"):
     """Solve under the debug audit, counting the splice's moves.
 
-    Each found path's pred chain is read before `_k3_repair` splices along
-    it: reverse split steps prepend a new occurrence, slack split steps drop
+    Each found path's steps are read before `_k3_repair` splices along
+    them: reverse split steps prepend a new occurrence, slack split steps drop
     D's head, and decreased cross edges either cut a stored path (counted
     at the `_find` lookup of the step) or are skipped as a dropped head's
     own first step. Every found path ends with one end-vertex append.
@@ -286,9 +286,7 @@ def _splice_moves(dag, variant="k3"):
 
     def recorded(result, v, l):
         moves["end"] += 1
-        code = result._last
-        while code != -1:
-            code, ekey, is_rev = result._pred[code]
+        for ekey, is_rev in result._steps:
             if ekey < 0:
                 moves["prepend" if is_rev else "drop"] += 1
             elif not is_rev:
@@ -419,6 +417,26 @@ def test_audit_flags_wrong_level_size():
     state.size[1] += 1
     with pytest.raises(InvariantViolation, match=r"^size of level 1 wrong: 3 != 2$"):
         state.insert_vertex(2, dag.in_adj[2])
+
+
+@pytest.mark.parametrize("code, message", [
+    (4, "split edge of 2 decreases level"),
+    (5, "slack split edge of 2 crosses levels"),
+    (1, "cross edge 0 decreases level"),
+    (6, "positive cross edge 2 crosses levels"),
+])
+def test_audit_flags_level_breaking_invariant_a(code, message):
+    # 2 lies on both paths of {0, 1} -> 2 -> {3, 4}, so its split has slack,
+    # and every code but the out-halves of 3 and 4 is on level 0. The
+    # isolated 5 pops nothing, so the raised level reaches the audit as set.
+    dag = build_dag(6, [(0, 2), (1, 2), (2, 3), (2, 4)])
+    state = SolverState(dag, "k3", debug=True)
+    for v in range(5):
+        state.insert_vertex(v, dag.in_adj[v])
+    assert state.split_f[2] == 2 and state.lv[code] == 0
+    state.lv[code] = 1
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        state.insert_vertex(5, dag.in_adj[5])
 
 
 def test_audit_flags_code_missing_from_its_bucket():
@@ -564,7 +582,7 @@ def test_result_flags_unused_cross_flow(variant):
 @pytest.mark.parametrize("variant", ["k2", "k3"])
 def test_result_flags_sink_and_size_mismatch(variant):
     state = _solved(remark_family(4), variant)
-    inner = next(v for v in range(state.n) if v not in state.end_set)
+    inner = next(v for v in range(state.n) if not state.outsink_f[v])
     state.outsink_f[inner] += 1
     with pytest.raises(InvariantViolation,
                        match="^stored paths do not end on the sink-edge flow$"):

@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from dagwidth import PathCover, build_dag, flow_from_cover, reduce
+from dagwidth import PathCover
 from dagwidth.errors import ParseError
-from dagwidth.io import (format_antichain, format_edge_list, format_flow_dump,
-                         format_path_cover, parse_edge_list, parse_path_cover)
+from dagwidth.io import (format_antichain, format_edge_list, format_path_cover,
+                         parse_edge_list, parse_path_cover)
 
 
 def test_edge_list_round_trip(d4):
@@ -61,14 +61,3 @@ def test_path_cover_round_trip():
 
 def test_antichain_line_sorted():
     assert format_antichain({2, 1}) == "1 2\n"
-
-
-def test_flow_dump_shape(d4):
-    net = reduce(d4)
-    flow = flow_from_cover(net, PathCover([[0, 1, 3], [0, 2, 3]]))
-    dump = format_flow_dump(net, flow)
-    lines = dump.splitlines()
-    assert "split 0 2" in lines
-    assert "split 1 1" in lines
-    assert "cross 0 1 1" in lines
-    assert len(lines) == net.num_edges
