@@ -1,9 +1,13 @@
 """Rewire a path cover until its distinct edges number less than 2|V|.
 
-Cover paths live as doubly linked chains of occurrence nodes; every distinct
-directed edge keeps an insertion-ordered registry of the nodes realizing it,
-so a path containing a given edge is found in O(1) and splicing reconnects
-chains with O(1) pointer work per mismatch.
+The support lives on plain ints. A directed edge (u, w) is the key u·n + w,
+which orders keys as the pairs would order; a vertex id outside [0, n) is
+rejected before it is encoded, since its key would alias a real edge. Cover
+paths are chains of occurrence nodes held in three parallel lists: node x
+lies on vertex vert[x], and nxt[x] and prv[x] are its neighbours on the
+path, -1 for none. Every distinct edge keeps an insertion-ordered registry
+of the tail nodes realizing it, so a path containing a given edge is found
+in O(1) and splicing reconnects chains with O(1) index work per mismatch.
 
 Vertices of degree at most two in the support are blue, the rest red; an
 undirected cycle of red edges lets paths be spliced along one side of the
@@ -26,22 +30,11 @@ each adjacency entry is scanned a bounded number of times per cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .dag import Dag, PathCover, build_dag
-from .errors import EdgeUncovered, NotACover, NotARedCycle
+from .errors import EdgeUncovered, NotACover, NotARedCycle, OutOfRange
 from .oracle import validate_cover
-
-
-class _Node:
-    __slots__ = ("vertex", "prev", "next")
-
-    def __init__(self, vertex: int):
-        self.vertex = vertex
-        self.prev: _Node | None = None
-        self.next: _Node | None = None
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"_Node({self.vertex})"
 
 
 @dataclass
@@ -52,142 +45,136 @@ class RedCycle:
 
 
 class SupportGraph:
-    """Multiplicity-weighted support of a path cover, as linked path chains.
+    """Multiplicity-weighted support of a path cover, on int codes.
 
-    occ maps each distinct directed edge to the tail nodes realizing it, in
-    insertion order. degree counts distinct incident edges per vertex; a
-    vertex is red iff its degree exceeds two. processed edges are those the
-    cycle search has exhausted or deleted. _phi is the running sum of
-    squared multiplicities.
+    Edge (u, w) is the key u·n + w. Occurrence node x lies on vertex
+    vert[x] and links to nxt[x] and prv[x] on its path (-1: none); heads
+    holds each path's first node. occ maps each edge key to the tail nodes
+    realizing it, in insertion order. degree[v] counts the distinct edges at
+    v; a vertex is red iff its degree exceeds two. processed holds the keys
+    the cycle search has exhausted or deleted. _phi is the running sum of
+    squared multiplicities. Nodes that a pass detaches keep their slots,
+    unreachable from heads.
     """
 
     def __init__(self, cover: PathCover, n: int):
         self.n = n
-        self.occ: dict[tuple[int, int], dict[_Node, None]] = {}
-        self.degree: dict[int, int] = {}
-        self.heads: list[_Node] = []
-        self.processed: set[tuple[int, int]] = set()
+        paths = [p for p in cover.paths if p]
+        vert = [v for p in paths for v in p]
+        if vert and (min(vert) < 0 or max(vert) >= n):
+            raise OutOfRange(f"a cover vertex lies outside [0, {n})")
+        nxt = list(range(1, len(vert) + 1))
+        prv = list(range(-1, len(vert) - 1))
+        heads = []
+        x = 0
+        for p in paths:
+            heads.append(x)
+            prv[x] = -1
+            x += len(p)
+            nxt[x - 1] = -1
+        self.vert = vert
+        self.nxt = nxt
+        self.prv = prv
+        self.heads = heads
+        # the only place support edges are created
+        occ: dict[int, dict[int, None]] = {}
+        degree = [0] * n
+        for x, p in zip(heads, paths):
+            for u, w in zip(p, p[1:]):
+                key = u * n + w
+                entry = occ.get(key)
+                if entry is None:
+                    occ[key] = {x: None}
+                    degree[u] += 1
+                    degree[w] += 1
+                else:
+                    entry[x] = None
+                x += 1
+        self.occ = occ
+        self.degree = degree
+        self._phi = sum([len(entry) ** 2 for entry in occ.values()])
+        self.processed: set[int] = set()
         # resumable cycle search state, see find_red_cycle
-        self._adj: dict[int, list[tuple[int, tuple[int, int]]]] | None = None
+        self._adj: dict[int, list[tuple[int, int]]] | None = None
         self._roots: list[int] = []
         self._root_idx = 0
         self._stack: list[int] = []
-        self._pos: dict[int, int] = {}
-        self._cursor: dict[int, int] = {}
-        self._parent_edge: dict[int, tuple[int, int] | None] = {}
-        self._visited: set[int] = set()
-        self._vanished: list[tuple[int, int]] = []  # emptied since last search
-        # the only place support edges are created
-        occ = self.occ
-        for path in cover.paths:
-            prev: _Node | None = None
-            for v in path:
-                node = _Node(v)
-                if prev is None:
-                    self.heads.append(node)
-                else:
-                    prev.next = node
-                    node.prev = prev
-                    edge = (prev.vertex, v)
-                    entry = occ.get(edge)
-                    if entry is None:
-                        occ[edge] = {prev: None}
-                    else:
-                        entry[prev] = None
-                prev = node
-        degree = self.degree
-        phi = 0
-        for (u, v), entry in occ.items():
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-            phi += len(entry) ** 2
-        self._phi = phi
-
-    # ------------------------------------------------------------- plumbing
-
-    def _register(self, edge: tuple[int, int], tail: _Node) -> None:
-        """Add an occurrence of a support edge. Thinning never creates or
-        revives an edge, so a missing one raises KeyError."""
-        entry = self.occ[edge]
-        self._phi += 2 * len(entry) + 1
-        entry[tail] = None
-
-    def _unregister(self, edge: tuple[int, int], tail: _Node) -> None:
-        entry = self.occ[edge]
-        self._phi -= 2 * len(entry) - 1
-        del entry[tail]
-        if not entry:
-            del self.occ[edge]
-            self.processed.add(edge)
-            self._vanished.append(edge)
-            for x in edge:
-                self.degree[x] -= 1
-
-    def _move(self, edge: tuple[int, int], src: _Node, dst: _Node) -> None:
-        """Hand one occurrence of edge from src to dst. The multiplicity,
-        and with it degree, processed and phi, stays as it was."""
-        entry = self.occ[edge]
-        del entry[src]
-        entry[dst] = None
+        self._pos = [-1] * n          # stack index, -1 when off the stack
+        self._cursor = [0] * n
+        self._parent_edge = [-1] * n  # tree edge key, -1 for a root
+        self._visited = bytearray(n)
+        self._vanished: list[int] = []  # emptied since last search
 
     def mu(self, edge: tuple[int, int]) -> int:
-        entry = self.occ.get(edge)
-        return len(entry) if entry else 0
+        u, w = edge
+        n = self.n
+        if not (0 <= u < n and 0 <= w < n):
+            return 0
+        return len(self.occ.get(u * n + w, ()))
 
     def is_red(self, v: int) -> bool:
-        return self.degree.get(v, 0) > 2
+        return 0 <= v < self.n and self.degree[v] > 2
 
     def phi(self) -> int:
         return self._phi
 
     def to_cover(self) -> PathCover:
+        vert, nxt = self.vert, self.nxt
         paths = []
-        for head in self.heads:
+        for x in self.heads:
             path = []
-            node: _Node | None = head
-            while node is not None:
-                path.append(node.vertex)
-                node = node.next
+            while x != -1:
+                path.append(vert[x])
+                x = nxt[x]
             paths.append(path)
         return PathCover(paths)
 
     # -------------------------------------------------------------- splicing
 
-    def splice_chain(self, d: list[int]) -> list[_Node]:
+    def splice_chain(self, d: list[int]) -> list[int]:
         """Reconnect paths so d is contiguous on one; returns its node chain.
 
         Per-edge multiplicities are preserved: mismatches only exchange the
-        suffixes of two chains through O(1) pointer swaps.
+        suffixes of two chains through O(1) link swaps.
         """
         if len(d) < 2:
             raise EdgeUncovered("splice target must be a proper path")
-        first = (d[0], d[1])
-        entry = self.occ.get(first)
+        n = self.n
+        if min(d) < 0 or max(d) >= n:
+            raise EdgeUncovered(f"splice target {d} leaves the vertices [0, {n})")
+        occ = self.occ
+        vert, nxt, prv = self.vert, self.nxt, self.prv
+        entry = occ.get(d[0] * n + d[1])
         if not entry:
-            raise EdgeUncovered(f"edge {first} lies on no cover path")
-        cur = next(iter(entry))
-        chain = [cur, cur.next]
+            raise EdgeUncovered(f"edge {(d[0], d[1])} lies on no cover path")
+        x = next(iter(entry))
+        chain = [x, nxt[x]]
+        x = chain[-1]
         for u, v in zip(d[1:], d[2:]):
-            x = chain[-1]
-            nxt = x.next
-            if nxt is not None and nxt.vertex == v:
-                chain.append(nxt)
+            y = nxt[x]
+            if y != -1 and vert[y] == v:
+                chain.append(y)
+                x = y
                 continue
-            entry = self.occ.get((u, v))
+            entry = occ.get(u * n + v)
             if not entry:
                 raise EdgeUncovered(f"edge {(u, v)} lies on no cover path")
             b_u = next(iter(entry))
-            b_v = b_u.next
-            # swap the suffix after x with the suffix starting at b_v
-            x.next = b_v
-            b_v.prev = x
-            b_u.next = nxt
-            if nxt is not None:
-                nxt.prev = b_u
-            self._move((u, v), b_u, x)
-            if nxt is not None:
-                self._move((u, nxt.vertex), x, b_u)
+            b_v = nxt[b_u]
+            # swap the suffix after x with the suffix starting at b_v, and
+            # hand the two edge occurrences over between x and b_u
+            nxt[x] = b_v
+            prv[b_v] = x
+            nxt[b_u] = y
+            del entry[b_u]
+            entry[x] = None
+            if y != -1:
+                prv[y] = b_u
+                moved = occ[u * n + vert[y]]
+                del moved[x]
+                moved[b_u] = None
             chain.append(b_v)
+            x = b_v
         return chain
 
     # ------------------------------------------------------- cycle machinery
@@ -196,8 +183,8 @@ class SupportGraph:
         """Depth-first search over red edges for a cycle of red vertices.
 
         Roots are taken in increasing id order among the vertices that had a
-        red edge at the first call; adjacency follows canonical edge order
-        with processed and no longer red edges skipped. Edges are marked
+        red edge at the first call; adjacency follows edge key order with
+        processed and no longer red edges skipped. Edges are marked
         processed when backtracked over. The search resumes where the last
         call stopped: a detected cycle is returned with the cursor left on
         its closing edge and without processing its edges, so a repeat call
@@ -221,14 +208,14 @@ class SupportGraph:
                 while self._root_idx < len(roots):
                     root = roots[self._root_idx]
                     self._root_idx += 1
-                    if root not in visited and degree[root] > 2:
+                    if not visited[root] and degree[root] > 2:
                         break
                 else:
                     return None
-                visited.add(root)
+                visited[root] = 1
                 stack.append(root)
                 pos[root] = 0
-                parent_edge[root] = None
+                parent_edge[root] = -1
                 cursor[root] = 0
             v = stack[-1]
             entries = adj[v]
@@ -236,39 +223,44 @@ class SupportGraph:
             i = cursor[v]
             advanced = False
             while i < len(entries):
-                w, edge = entries[i]
-                if edge in processed or edge == pe or degree[w] <= 2:
+                w, key = entries[i]
+                if key in processed or key == pe or degree[w] <= 2:
                     i += 1
                     continue
-                if w in pos:
+                if pos[w] >= 0:
                     cursor[v] = i
                     return RedCycle(stack[pos[w]:])
                 i += 1
-                if w in visited:
+                if visited[w]:
                     continue
-                visited.add(w)
+                visited[w] = 1
                 pos[w] = len(stack)
                 stack.append(w)
-                parent_edge[w] = edge
+                parent_edge[w] = key
                 cursor[w] = 0
                 advanced = True
                 break
             cursor[v] = i
             if not advanced:
                 stack.pop()
-                del pos[v]
-                if pe is not None:
+                pos[v] = -1
+                if pe >= 0:
                     processed.add(pe)
 
     def _build_search(self) -> None:
         """Sorted adjacency of the red graph as it stands; later calls only
         ever see a subgraph of it."""
-        adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-        for edge in self.occ:
-            u, v = edge
-            if edge not in self.processed and self.is_red(u) and self.is_red(v):
-                adj.setdefault(u, []).append((v, edge))
-                adj.setdefault(v, []).append((u, edge))
+        n = self.n
+        processed = self.processed
+        degree = self.degree
+        adj: dict[int, list[tuple[int, int]]] = {}
+        for key in self.occ:
+            if key in processed:
+                continue
+            u, w = divmod(key, n)
+            if degree[u] > 2 and degree[w] > 2:
+                adj.setdefault(u, []).append((w, key))
+                adj.setdefault(w, []).append((u, key))
         for entries in adj.values():
             entries.sort()
         self._adj = adj
@@ -280,21 +272,22 @@ class SupportGraph:
         vanished or which turned blue since the last call. Only endpoints of
         vanished edges lose degree, so the vanished edges name every
         candidate. Cut vertices become unvisited, as in a fresh search."""
+        n = self.n
         pos = self._pos
         parent_edge = self._parent_edge
         degree = self.degree
         stack = self._stack
         cut = len(stack)
-        for edge in self._vanished:
-            for x in edge:
-                p = pos.get(x)
-                if p is not None and p < cut and (
-                        parent_edge[x] == edge or degree[x] <= 2):
+        for key in self._vanished:
+            for x in divmod(key, n):
+                p = pos[x]
+                if 0 <= p < cut and (parent_edge[x] == key or degree[x] <= 2):
                     cut = p
         self._vanished.clear()
+        visited = self._visited
         for x in stack[cut:]:
-            del pos[x]
-            self._visited.discard(x)
+            pos[x] = -1
+            visited[x] = 0
         del stack[cut:]
 
     def eliminate_red_cycle(self, cycle: RedCycle, record: list | None = None):
@@ -311,64 +304,62 @@ class SupportGraph:
         length = len(cyc)
         if length < 3:
             raise NotARedCycle("a red cycle has at least three vertices")
+        n = self.n
+        occ = self.occ
+        if min(cyc) < 0 or max(cyc) >= n:
+            raise NotARedCycle(f"{cyc} leaves the vertices [0, {n})")
         orient: list[bool] = []  # True = forward along cycle order
-        for i in range(length):
-            a, b = cyc[i], cyc[(i + 1) % length]
-            if (a, b) in self.occ:
-                orient.append(True)
-            elif (b, a) in self.occ:
-                orient.append(False)
-            else:
-                raise NotARedCycle(f"({a}, {b}) is not a support edge")
+        mult: list[int] = []
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            entry = occ.get(a * n + b)
+            orient.append(entry is not None)
+            if entry is None:
+                entry = occ.get(b * n + a)
+                if entry is None:
+                    raise NotARedCycle(f"({a}, {b}) is not a support edge")
+            mult.append(len(entry))
+        degree = self.degree
         for v in cyc:
-            if not self.is_red(v):
+            if degree[v] <= 2:
                 raise NotARedCycle(f"vertex {v} is not red")
         if len(set(cyc)) != length:
             raise NotARedCycle("a red cycle visits no vertex twice")
         if all(orient) or not any(orient):
             raise NotARedCycle("cycle orientation has no mixed edges")
 
-        sum_f = sum(self.mu((cyc[i], cyc[(i + 1) % length]))
-                    for i in range(length) if orient[i])
-        sum_b = sum(self.mu((cyc[(i + 1) % length], cyc[i]))
-                    for i in range(length) if not orient[i])
+        sum_f = sum([m for m, o in zip(mult, orient) if o])
+        sum_b = sum(mult) - sum_f
         drain_forward = sum_f < sum_b  # ties drain the backward side
 
-        # rotate so position 0 starts a drained-side run
-        drained = [o == drain_forward for o in orient]
+        # rotate so position 0 starts a drained-side run, then split the
+        # closed vertex sequence into runs of one orientation, each directed
+        # along its edges; the cycle is fixed for the whole elimination
         start = next(i for i in range(length)
-                     if drained[i] and not drained[i - 1])
-        cyc = cyc[start:] + cyc[:start]
-        drained = drained[start:] + drained[:start]
+                     if orient[i] == drain_forward
+                     and orient[i - 1] != drain_forward)
+        ring = cyc[start:] + cyc[:start + 1]
         orient = orient[start:] + orient[:start]
+        drained_runs: list[list[int]] = []
+        kept_runs: list[list[int]] = []
+        p = 0
+        for forward, group in groupby(orient):
+            q = p + len(list(group))
+            verts = ring[p:q + 1]
+            if not forward:
+                verts.reverse()
+            (drained_runs if forward == drain_forward else kept_runs).append(verts)
+            p = q
+        spliced = sum([len(verts) - 1 for verts in drained_runs])
 
-        def run_vertices(p: int, q: int) -> list[int]:
-            """Directed vertex list of the run of edge positions [p, q]."""
-            verts = [cyc[i % length] for i in range(p, q + 2)]
-            return verts if orient[p] else verts[::-1]
-
-        runs: list[tuple[bool, int, int]] = []
-        i = 0
-        while i < length:
-            j = i
-            while j + 1 < length and drained[j + 1] == drained[i]:
-                j += 1
-            runs.append((drained[i], i, j))
-            i = j + 1
-        # the cycle is fixed for the whole elimination
-        drained_runs = [run_vertices(p, q) for flag, p, q in runs if flag]
-        kept_runs = [run_vertices(p, q) for flag, p, q in runs if not flag]
-        drained_support = [e for verts in drained_runs
-                           for e in zip(verts, verts[1:])]
-
-        occ = self.occ
+        # only a pass's detached drained edges can vanish
+        vanished = self._vanished
         while True:
             phi_before = self._phi
+            seen = len(vanished)
             self._one_pass(drained_runs, kept_runs)
             if record is not None:
-                record.append((self._phi - phi_before, length,
-                               len(drained_support)))
-            if any(e not in occ for e in drained_support):
+                record.append((self._phi - phi_before, length, spliced))
+            if len(vanished) > seen:
                 break
 
     def _one_pass(self, drained_runs, kept_runs) -> None:
@@ -376,32 +367,57 @@ class SupportGraph:
         detach it, and reroute the loose ends through the kept runs. Runs
         are directed vertex lists."""
         chains = [self.splice_chain(verts) for verts in drained_runs]
-        start_node: dict[int, _Node] = {}
-        end_node: dict[int, _Node] = {}
+        start_node: dict[int, int] = {}
+        end_node: dict[int, int] = {}
         for verts, chain in zip(drained_runs, chains):
             start_node[verts[0]] = chain[0]
             end_node[verts[-1]] = chain[-1]
+        n = self.n
+        occ = self.occ
+        degree = self.degree
+        processed = self.processed
+        vanished = self._vanished
+        phi = self._phi
         # detach the drained chains; their interior nodes fall out of every
         # path, which is safe because red vertices keep other covered edges
         for verts, chain in zip(drained_runs, chains):
-            for i, e in enumerate(zip(verts, verts[1:])):
-                self._unregister(e, chain[i])
+            for u, w, x in zip(verts, verts[1:], chain):
+                key = u * n + w
+                entry = occ[key]
+                phi -= 2 * len(entry) - 1
+                del entry[x]
+                if not entry:
+                    del occ[key]
+                    processed.add(key)
+                    vanished.append(key)
+                    degree[u] -= 1
+                    degree[w] -= 1
         # reconnect through the kept runs: the prefix arriving at a drained
         # run's start continues along the kept run to the suffix leaving the
-        # matching drained run's end
+        # matching drained run's end. Thinning never creates or revives an
+        # edge, so a missing registry raises KeyError.
+        vert, nxt, prv = self.vert, self.nxt, self.prv
         for verts in kept_runs:
-            left = start_node[verts[0]]
-            right = end_node[verts[-1]]
-            prev = left
-            for v in verts[1:-1]:
-                node = _Node(v)
-                prev.next = node
-                node.prev = prev
-                self._register((prev.vertex, v), prev)
+            prev = start_node[verts[0]]
+            u = verts[0]
+            for w in verts[1:-1]:
+                node = len(vert)
+                vert.append(w)
+                nxt.append(-1)
+                prv.append(prev)
+                nxt[prev] = node
+                entry = occ[u * n + w]
+                phi += 2 * len(entry) + 1
+                entry[prev] = None
                 prev = node
-            prev.next = right
-            right.prev = prev
-            self._register((prev.vertex, right.vertex), prev)
+                u = w
+            right = end_node[verts[-1]]
+            nxt[prev] = right
+            prv[right] = prev
+            entry = occ[u * n + verts[-1]]
+            phi += 2 * len(entry) + 1
+            entry[prev] = None
+        self._phi = phi
 
 
 def eliminate_red_cycle(support: SupportGraph, cycle: RedCycle,

@@ -8,7 +8,7 @@ import pytest
 from dagwidth import (PathCover, build_dag, oracle_width, remark_family,
                       solve, splice, thin, validate_cover,
                       width_preserving_sparsify)
-from dagwidth.errors import EdgeUncovered
+from dagwidth.errors import EdgeUncovered, OutOfRange
 from dagwidth.thinning import RedCycle, SupportGraph, cover_support
 from tests.conftest import corpus_instance, dense_cover
 
@@ -31,6 +31,22 @@ def test_splice_rejects_uncovered_edge(d4):
     cover = PathCover([[0, 1, 3], [0, 2, 3]])
     with pytest.raises(EdgeUncovered):
         splice(cover, [1, 3, 2])
+
+
+def test_splice_rejects_ids_outside_the_vertices():
+    # with edge keys u*n + w, (0, 5) would alias (1, 2) at n = 3
+    cover = PathCover([[0, 1, 2], [1, 2]])
+    with pytest.raises(EdgeUncovered):
+        splice(cover, [0, 5])
+    with pytest.raises(EdgeUncovered):
+        splice(cover, [1, -1])
+
+
+def test_support_graph_rejects_cover_ids_outside_the_vertices():
+    with pytest.raises(OutOfRange):
+        SupportGraph(PathCover([[0, 5]]), 3)
+    with pytest.raises(OutOfRange):
+        SupportGraph(PathCover([[-1, 0]]), 3)
 
 
 def test_splice_preserves_multiplicities_randomized():
@@ -172,13 +188,49 @@ def test_support_graph_phi_matches_cover():
     assert checked > 0
 
 
+def _check_arrays(support):
+    """The int layout is consistent: links are mutual along every live
+    chain, each registry holds exactly the live tails of its edge, degree
+    and phi match a recount."""
+    n, vert, nxt, prv = support.n, support.vert, support.nxt, support.prv
+    tails: dict = {}
+    for head in support.heads:
+        assert prv[head] == -1
+        x = head
+        while nxt[x] != -1:
+            y = nxt[x]
+            assert prv[y] == x
+            tails.setdefault(vert[x] * n + vert[y], set()).add(x)
+            x = y
+    assert {key: set(entry) for key, entry in support.occ.items()} == tails
+    degree = [0] * n
+    for key in support.occ:
+        for x in divmod(key, n):
+            degree[x] += 1
+    assert support.degree == degree
+    assert support.phi() == sum(len(e) ** 2 for e in support.occ.values())
+
+
+def test_arrays_stay_consistent_through_eliminations():
+    eliminated = 0
+    for seed in range(40):
+        dag = corpus_instance(seed)
+        support = SupportGraph(dense_cover(dag, seed), dag.n)
+        _check_arrays(support)
+        while (cycle := support.find_red_cycle()) is not None:
+            support.eliminate_red_cycle(cycle)
+            _check_arrays(support)
+            eliminated += 1
+    assert eliminated > 0
+
+
 def _restart_find_red_cycle(support):
     """Reference search: rebuild the red adjacency and restart the
     depth-first search from the lowest red root on every call. The
     resumable SupportGraph.find_red_cycle must find the same cycles."""
     adj: dict = {}
     for edge in support.occ:
-        u, v = edge
+        u, v = divmod(edge, support.n)
         if (edge not in support.processed and support.is_red(u)
                 and support.is_red(v)):
             adj.setdefault(u, []).append((v, edge))
@@ -302,6 +354,27 @@ def test_eliminate_red_cycle_direct():
     with pytest.raises(NotARedCycle):
         eliminate_red_cycle(fresh, RedCycle([0, 1, 2, 0, 1, 2]))
     assert fresh.to_cover().paths == cover.paths
+
+
+def test_ids_outside_the_vertices_are_not_red():
+    from dagwidth import eliminate_red_cycle
+    from dagwidth.errors import NotARedCycle
+    cover = PathCover([[0, 1, 2, 3], [0, 2], [1, 3], [0, 3], [0, 1], [2, 3]])
+    support = SupportGraph(cover, 4)
+    assert support.is_red(3)
+    assert not support.is_red(4) and not support.is_red(-1)
+    assert support.mu((1, -1)) == 0
+    # keyed as u*4 + w, (1, -1) would read as (0, 3) and (-1, 2) as (1, 3)
+    with pytest.raises(NotARedCycle):
+        eliminate_red_cycle(support, RedCycle([1, -1, 2]))
+    assert support.to_cover().paths == cover.paths
+    # the same graph numbered backwards: (0, 4) would read as (1, 0)
+    back = PathCover([[3, 2, 1, 0], [3, 1], [2, 0], [3, 0], [3, 2], [1, 0]])
+    support = SupportGraph(back, 4)
+    assert support.mu((0, 4)) == 0
+    with pytest.raises(NotARedCycle):
+        eliminate_red_cycle(support, RedCycle([0, 4, 2]))
+    assert support.to_cover().paths == back.paths
 
 
 def test_width_preserving_sparsify_d4(d4):
