@@ -17,7 +17,7 @@ import time
 from . import io
 from .antichain import chain_cover_from_mpc, max_antichain
 from .dag import Dag, PathCover, gen_random_dag, remark_family
-from .errors import DagWidthError, InvariantViolation, ParseError
+from .errors import DagWidthError, InvariantViolation, NotMinimum, ParseError
 from .incremental import SolverState, solve
 from .oracle import WIDTH_BOUND, oracle_width, validate_cover
 from .sparsify import sparsify_all
@@ -81,9 +81,17 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _verify_cover(dag: Dag, cover: PathCover, expect_minimum: bool) -> list[str]:
+def _verify_cover(dag: Dag, cover: PathCover) -> list[str]:
+    """Problems with a cover that should be minimum. A valid cover must
+    admit no decrementing path at any n; within the oracle's bound its size
+    is also checked against the width."""
     problems = list(validate_cover(dag, cover).violations)
-    if expect_minimum and dag.n <= WIDTH_BOUND:
+    if not problems:
+        try:
+            max_antichain(dag, cover)
+        except NotMinimum as exc:
+            problems.append(f"cover is not minimum: {exc}")
+    if dag.n <= WIDTH_BOUND:
         want = oracle_width(dag)
         if cover.size != want:
             problems.append(f"cover size {cover.size} != width {want}")
@@ -96,7 +104,7 @@ def cmd_mpc(args) -> int:
     result = solve(dag, variant=args.variant)
     elapsed = (time.perf_counter() - t0) * 1000.0
     if args.verify:
-        problems = _verify_cover(dag, result.cover, expect_minimum=True)
+        problems = _verify_cover(dag, result.cover)
         if problems:
             print("; ".join(problems), file=sys.stderr)
             return EXIT_VERIFY
@@ -113,7 +121,7 @@ def cmd_antichain(args) -> int:
     result = solve(dag, variant=args.variant)
     members = max_antichain(dag, result.cover)
     if args.verify:
-        problems = _verify_cover(dag, result.cover, expect_minimum=True)
+        problems = _verify_cover(dag, result.cover)
         if len(members) != result.cover.size:
             problems.append("antichain size differs from cover size")
         if problems:

@@ -3,11 +3,13 @@
 The support lives on plain ints. A directed edge (u, w) is the key u·n + w,
 which orders keys as the pairs would order; a vertex id outside [0, n) is
 rejected before it is encoded, since its key would alias a real edge. Cover
-paths are chains of occurrence nodes held in three parallel lists: node x
-lies on vertex vert[x], and nxt[x] and prv[x] are its neighbours on the
+paths are singly linked chains of occurrence nodes held in two parallel
+lists: node x lies on vertex vert[x], and nxt[x] is the next node on its
 path, -1 for none. Every distinct edge keeps an insertion-ordered registry
 of the tail nodes realizing it, so a path containing a given edge is found
 in O(1) and splicing reconnects chains with O(1) index work per mismatch.
+Splicing only walks forward from a node a registry names, so no node needs
+a backward link.
 
 Vertices of degree at most two in the support are blue, the rest red; an
 undirected cycle of red edges lets paths be spliced along one side of the
@@ -21,14 +23,16 @@ occurrences between nodes in place and never creates a support edge, so
 between two searches the red graph only loses edges and vertices only turn
 from red to blue, and the set of processed edges only grows. The red
 adjacency is therefore built and sorted once, and the depth-first search
-keeps its stack, cursors and visited set from one call to the next: a call
-cuts the stack back to the first tree edge that vanished or the first
-vertex that turned blue, then resumes. A restart from scratch would replay
-exactly the surviving stack prefix, so both find the same cycles, while
-each adjacency entry is scanned a bounded number of times per cut.
+is one generator that keeps its stack, cursors and visited set as locals
+from one cycle to the next: after each cycle it cuts the stack back to the
+first tree edge that vanished or the first vertex that turned blue, then
+resumes. A restart from scratch would replay exactly the surviving stack
+prefix, so both find the same cycles, while each adjacency entry is
+scanned a bounded number of times per cut.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -48,13 +52,15 @@ class SupportGraph:
     """Multiplicity-weighted support of a path cover, on int codes.
 
     Edge (u, w) is the key u·n + w. Occurrence node x lies on vertex
-    vert[x] and links to nxt[x] and prv[x] on its path (-1: none); heads
+    vert[x] and links forward to nxt[x] on its path (-1: none); heads
     holds each path's first node. occ maps each edge key to the tail nodes
     realizing it, in insertion order. degree[v] counts the distinct edges at
     v; a vertex is red iff its degree exceeds two. processed holds the keys
-    the cycle search has exhausted or deleted. _phi is the running sum of
-    squared multiplicities. Nodes that a pass detaches keep their slots,
-    unreachable from heads.
+    the cycle search has exhausted or deleted, _vanished the keys emptied
+    since the search last ran, and _cycles is the search itself, made at
+    the first find_red_cycle call. _phi is the running sum of squared
+    multiplicities. Nodes that a pass detaches keep their slots, unreachable
+    from heads.
     """
 
     def __init__(self, cover: PathCover, n: int):
@@ -64,17 +70,14 @@ class SupportGraph:
         if vert and (min(vert) < 0 or max(vert) >= n):
             raise OutOfRange(f"a cover vertex lies outside [0, {n})")
         nxt = list(range(1, len(vert) + 1))
-        prv = list(range(-1, len(vert) - 1))
         heads = []
         x = 0
         for p in paths:
             heads.append(x)
-            prv[x] = -1
             x += len(p)
             nxt[x - 1] = -1
         self.vert = vert
         self.nxt = nxt
-        self.prv = prv
         self.heads = heads
         # the only place support edges are created
         occ: dict[int, dict[int, None]] = {}
@@ -94,16 +97,8 @@ class SupportGraph:
         self.degree = degree
         self._phi = sum([len(entry) ** 2 for entry in occ.values()])
         self.processed: set[int] = set()
-        # resumable cycle search state, see find_red_cycle
-        self._adj: dict[int, list[tuple[int, int]]] | None = None
-        self._roots: list[int] = []
-        self._root_idx = 0
-        self._stack: list[int] = []
-        self._pos = [-1] * n          # stack index, -1 when off the stack
-        self._cursor = [0] * n
-        self._parent_edge = [-1] * n  # tree edge key, -1 for a root
-        self._visited = bytearray(n)
-        self._vanished: list[int] = []  # emptied since last search
+        self._cycles: Iterator[RedCycle] | None = None
+        self._vanished: list[int] = []
 
     def mu(self, edge: tuple[int, int]) -> int:
         u, w = edge
@@ -143,7 +138,7 @@ class SupportGraph:
         if min(d) < 0 or max(d) >= n:
             raise EdgeUncovered(f"splice target {d} leaves the vertices [0, {n})")
         occ = self.occ
-        vert, nxt, prv = self.vert, self.nxt, self.prv
+        vert, nxt = self.vert, self.nxt
         entry = occ.get(d[0] * n + d[1])
         if not entry:
             raise EdgeUncovered(f"edge {(d[0], d[1])} lies on no cover path")
@@ -164,12 +159,10 @@ class SupportGraph:
             # swap the suffix after x with the suffix starting at b_v, and
             # hand the two edge occurrences over between x and b_u
             nxt[x] = b_v
-            prv[b_v] = x
             nxt[b_u] = y
             del entry[b_u]
             entry[x] = None
             if y != -1:
-                prv[y] = b_u
                 moved = occ[u * n + vert[y]]
                 del moved[x]
                 moved[b_u] = None
@@ -190,69 +183,22 @@ class SupportGraph:
         its closing edge and without processing its edges, so a repeat call
         with no elimination in between returns the same cycle.
         """
-        if self._adj is None:
-            self._build_search()
-        else:
-            self._cut_stack()
-        adj = self._adj
-        processed = self.processed
-        degree = self.degree
-        roots = self._roots
-        stack = self._stack
-        pos = self._pos
-        cursor = self._cursor
-        parent_edge = self._parent_edge
-        visited = self._visited
-        while True:
-            if not stack:
-                while self._root_idx < len(roots):
-                    root = roots[self._root_idx]
-                    self._root_idx += 1
-                    if not visited[root] and degree[root] > 2:
-                        break
-                else:
-                    return None
-                visited[root] = 1
-                stack.append(root)
-                pos[root] = 0
-                parent_edge[root] = -1
-                cursor[root] = 0
-            v = stack[-1]
-            entries = adj[v]
-            pe = parent_edge[v]
-            i = cursor[v]
-            advanced = False
-            while i < len(entries):
-                w, key = entries[i]
-                if key in processed or key == pe or degree[w] <= 2:
-                    i += 1
-                    continue
-                if pos[w] >= 0:
-                    cursor[v] = i
-                    return RedCycle(stack[pos[w]:])
-                i += 1
-                if visited[w]:
-                    continue
-                visited[w] = 1
-                pos[w] = len(stack)
-                stack.append(w)
-                parent_edge[w] = key
-                cursor[w] = 0
-                advanced = True
-                break
-            cursor[v] = i
-            if not advanced:
-                stack.pop()
-                pos[v] = -1
-                if pe >= 0:
-                    processed.add(pe)
+        if self._cycles is None:
+            self._cycles = self._search_cycles()
+        return next(self._cycles, None)
 
-    def _build_search(self) -> None:
-        """Sorted adjacency of the red graph as it stands; later calls only
-        ever see a subgraph of it."""
+    def _search_cycles(self) -> Iterator[RedCycle]:
+        """The one depth-first search behind find_red_cycle. The sorted
+        adjacency is that of the red graph at the first call; later calls
+        only ever see a subgraph of it. After each cycle it pops the stack
+        down to below its first vertex whose tree edge vanished or which
+        turned blue in the meantime. Only endpoints of vanished edges lose
+        degree, so the vanished edges name every candidate. Cut vertices
+        become unvisited, as in a fresh search."""
         n = self.n
         processed = self.processed
         degree = self.degree
+        vanished = self._vanished
         adj: dict[int, list[tuple[int, int]]] = {}
         for key in self.occ:
             if key in processed:
@@ -263,32 +209,60 @@ class SupportGraph:
                 adj.setdefault(w, []).append((u, key))
         for entries in adj.values():
             entries.sort()
-        self._adj = adj
-        self._roots = sorted(adj)
-        self._vanished.clear()
-
-    def _cut_stack(self) -> None:
-        """Pop the stack down to below its first vertex whose tree edge
-        vanished or which turned blue since the last call. Only endpoints of
-        vanished edges lose degree, so the vanished edges name every
-        candidate. Cut vertices become unvisited, as in a fresh search."""
-        n = self.n
-        pos = self._pos
-        parent_edge = self._parent_edge
-        degree = self.degree
-        stack = self._stack
-        cut = len(stack)
-        for key in self._vanished:
-            for x in divmod(key, n):
-                p = pos[x]
-                if 0 <= p < cut and (parent_edge[x] == key or degree[x] <= 2):
-                    cut = p
-        self._vanished.clear()
-        visited = self._visited
-        for x in stack[cut:]:
-            pos[x] = -1
-            visited[x] = 0
-        del stack[cut:]
+        vanished.clear()
+        stack: list[int] = []
+        pos = [-1] * n          # stack index, -1 when off the stack
+        cursor = [0] * n
+        parent_edge = [-1] * n  # tree edge key, -1 for a root
+        visited = bytearray(n)
+        for root in sorted(adj):
+            if visited[root] or degree[root] <= 2:
+                continue
+            visited[root] = 1
+            stack.append(root)
+            pos[root] = 0
+            parent_edge[root] = -1
+            cursor[root] = 0
+            while stack:
+                v = stack[-1]
+                entries = adj[v]
+                pe = parent_edge[v]
+                i = cursor[v]
+                while i < len(entries):
+                    w, key = entries[i]
+                    if key in processed or key == pe or degree[w] <= 2:
+                        i += 1
+                    elif pos[w] >= 0:
+                        cursor[v] = i
+                        yield RedCycle(stack[pos[w]:])
+                        cut = len(stack)
+                        for gone in vanished:
+                            for x in divmod(gone, n):
+                                p = pos[x]
+                                if 0 <= p < cut and (parent_edge[x] == gone
+                                                     or degree[x] <= 2):
+                                    cut = p
+                        vanished.clear()
+                        for x in stack[cut:]:
+                            pos[x] = -1
+                            visited[x] = 0
+                        del stack[cut:]
+                        break
+                    elif visited[w]:
+                        i += 1
+                    else:
+                        cursor[v] = i + 1
+                        visited[w] = 1
+                        pos[w] = len(stack)
+                        stack.append(w)
+                        parent_edge[w] = key
+                        cursor[w] = 0
+                        break
+                else:
+                    stack.pop()
+                    pos[v] = -1
+                    if pe >= 0:
+                        processed.add(pe)
 
     def eliminate_red_cycle(self, cycle: RedCycle, record: list | None = None):
         """Splice along one side of the cycle until a support edge vanishes.
@@ -396,7 +370,7 @@ class SupportGraph:
         # run's start continues along the kept run to the suffix leaving the
         # matching drained run's end. Thinning never creates or revives an
         # edge, so a missing registry raises KeyError.
-        vert, nxt, prv = self.vert, self.nxt, self.prv
+        vert, nxt = self.vert, self.nxt
         for verts in kept_runs:
             prev = start_node[verts[0]]
             u = verts[0]
@@ -404,7 +378,6 @@ class SupportGraph:
                 node = len(vert)
                 vert.append(w)
                 nxt.append(-1)
-                prv.append(prev)
                 nxt[prev] = node
                 entry = occ[u * n + w]
                 phi += 2 * len(entry) + 1
@@ -413,7 +386,6 @@ class SupportGraph:
                 u = w
             right = end_node[verts[-1]]
             nxt[prev] = right
-            prv[right] = prev
             entry = occ[u * n + verts[-1]]
             phi += 2 * len(entry) + 1
             entry[prev] = None

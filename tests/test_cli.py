@@ -22,6 +22,23 @@ def test_mpc_d4(tmp_path, capsys):
     assert cover.size == 2
 
 
+def test_mpc_verify_rejects_a_non_minimum_cover_beyond_the_oracle(
+        tmp_path, capsys, monkeypatch):
+    # n > 500 is past the oracle's bound; the decrementing-path check
+    # still rejects a valid cover of singletons on a chain
+    from types import SimpleNamespace
+
+    from dagwidth import PathCover, cli
+    n = 600
+    text = f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1))
+    singletons = PathCover([[v] for v in range(n)])
+    monkeypatch.setattr(cli, "solve",
+                        lambda dag, variant: SimpleNamespace(cover=singletons))
+    rc = main(["mpc", _write(tmp_path, "chain.txt", text), "--verify"])
+    assert rc == 2
+    assert "not minimum" in capsys.readouterr().err
+
+
 def test_mpc_single_vertex(tmp_path, capsys):
     rc = main(["mpc", _write(tmp_path, "g.txt", "1 0\n")])
     assert rc == 0

@@ -189,18 +189,21 @@ def test_support_graph_phi_matches_cover():
 
 
 def _check_arrays(support):
-    """The int layout is consistent: links are mutual along every live
-    chain, each registry holds exactly the live tails of its edge, degree
+    """The int layout is consistent: walking nxt from the heads reaches
+    every live node exactly once, so the chains are disjoint, acyclic and
+    headed; each registry holds exactly the live tails of its edge, degree
     and phi match a recount."""
-    n, vert, nxt, prv = support.n, support.vert, support.nxt, support.prv
+    n, vert, nxt = support.n, support.vert, support.nxt
     tails: dict = {}
+    reached: set = set()
     for head in support.heads:
-        assert prv[head] == -1
         x = head
-        while nxt[x] != -1:
+        while x != -1:
+            assert x not in reached
+            reached.add(x)
             y = nxt[x]
-            assert prv[y] == x
-            tails.setdefault(vert[x] * n + vert[y], set()).add(x)
+            if y != -1:
+                tails.setdefault(vert[x] * n + vert[y], set()).add(x)
             x = y
     assert {key: set(entry) for key, entry in support.occ.items()} == tails
     degree = [0] * n
@@ -275,10 +278,15 @@ def _restart_find_red_cycle(support):
     return None
 
 
-def _cycle_sequences(cover, n):
+def _cycle_sequences(cover, n, first=None):
     """Cycles found by the resumable search and by the restarting one, each
-    side eliminating its own cycles on its own copy of the support."""
+    side eliminating its own cycles on its own copy of the support. first,
+    when given, is eliminated on both copies before either search runs."""
     resumed, restarted = SupportGraph(cover, n), SupportGraph(cover, n)
+    if first is not None:
+        resumed.eliminate_red_cycle(first)
+        _check_arrays(resumed)
+        restarted.eliminate_red_cycle(first)
     seq_a, seq_b = [], []
     while True:
         a = resumed.find_red_cycle()
@@ -288,6 +296,7 @@ def _cycle_sequences(cover, n):
         if a is None or b is None:
             break
         resumed.eliminate_red_cycle(a)
+        _check_arrays(resumed)
         restarted.eliminate_red_cycle(b)
     assert resumed.to_cover().paths == restarted.to_cover().paths
     return seq_a, seq_b
@@ -303,6 +312,24 @@ def test_resumed_search_matches_restarted_search_dense():
         assert seq_a == seq_b, seed
         total += len(seq_a) - 1
     assert total > 0, "dense covers produced no red cycles at all"
+
+
+def test_resumed_search_matches_restarted_search_after_early_elimination():
+    # an elimination before the first search call: the search builds its
+    # adjacency lazily, from the support as the elimination left it
+    exercised = 0
+    for seed in range(200):
+        dag = corpus_instance(seed)
+        if dag.n == 0:
+            continue
+        cover = dense_cover(dag, seed)
+        first = _restart_find_red_cycle(SupportGraph(cover, dag.n))
+        if first is None:
+            continue
+        seq_a, seq_b = _cycle_sequences(cover, dag.n, first)
+        assert seq_a == seq_b, seed
+        exercised += 1
+    assert exercised > 0, "dense covers produced no red cycles at all"
 
 
 @pytest.mark.parametrize("n", range(2, 7))
