@@ -81,21 +81,28 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _verify_cover(dag: Dag, cover: PathCover) -> list[str]:
-    """Problems with a cover that should be minimum. A valid cover must
-    admit no decrementing path at any n; within the oracle's bound its size
-    is also checked against the width."""
+def _verify_cover(dag: Dag, cover: PathCover) -> tuple[list[str], set[int] | None]:
+    """Problems with a cover that should be minimum, and the maximum
+    antichain read off it (None unless the cover is valid and minimum). A
+    valid cover must admit no decrementing path at any n; within the
+    oracle's bound its size is also checked against the width."""
     problems = list(validate_cover(dag, cover).violations)
+    members = None
     if not problems:
         try:
-            max_antichain(dag, cover)
+            members = max_antichain(dag, cover)
         except NotMinimum as exc:
             problems.append(f"cover is not minimum: {exc}")
     if dag.n <= WIDTH_BOUND:
         want = oracle_width(dag)
         if cover.size != want:
             problems.append(f"cover size {cover.size} != width {want}")
-    return problems
+    return problems, members
+
+
+def _is_subsequence(chain: list[int], path: list[int]) -> bool:
+    rest = iter(path)
+    return all(v in rest for v in chain)
 
 
 def cmd_mpc(args) -> int:
@@ -104,7 +111,7 @@ def cmd_mpc(args) -> int:
     result = solve(dag, variant=args.variant)
     elapsed = (time.perf_counter() - t0) * 1000.0
     if args.verify:
-        problems = _verify_cover(dag, result.cover)
+        problems, _ = _verify_cover(dag, result.cover)
         if problems:
             print("; ".join(problems), file=sys.stderr)
             return EXIT_VERIFY
@@ -119,14 +126,15 @@ def cmd_mpc(args) -> int:
 def cmd_antichain(args) -> int:
     dag, mapping = _read_graph(args.input)
     result = solve(dag, variant=args.variant)
-    members = max_antichain(dag, result.cover)
     if args.verify:
-        problems = _verify_cover(dag, result.cover)
-        if len(members) != result.cover.size:
+        problems, members = _verify_cover(dag, result.cover)
+        if members is not None and len(members) != result.cover.size:
             problems.append("antichain size differs from cover size")
         if problems:
             print("; ".join(problems), file=sys.stderr)
             return EXIT_VERIFY
+    else:
+        members = max_antichain(dag, result.cover)
     _emit(io.format_antichain(mapping[v] for v in members), args.out)
     return EXIT_OK
 
@@ -136,8 +144,10 @@ def cmd_mcc(args) -> int:
     result = solve(dag, variant=args.variant)
     chains = chain_cover_from_mpc(dag, result.cover)
     if args.verify:
+        # a chain that is a subsequence of its cover path steps only
+        # between vertices that path connects
+        problems, _ = _verify_cover(dag, result.cover)
         seen: set[int] = set()
-        problems = []
         for chain in chains.paths:
             for v in chain:
                 if v in seen:
@@ -145,6 +155,11 @@ def cmd_mcc(args) -> int:
                 seen.add(v)
         if len(seen) != dag.n:
             problems.append("chains do not cover every vertex")
+        if chains.size != result.cover.size:
+            problems.append(f"{chains.size} chains for a cover of {result.cover.size} paths")
+        for i, (chain, path) in enumerate(zip(chains.paths, result.cover.paths)):
+            if not _is_subsequence(chain, path):
+                problems.append(f"chain {i} is not a subsequence of cover path {i}")
         if problems:
             print("; ".join(problems), file=sys.stderr)
             return EXIT_VERIFY
@@ -170,6 +185,11 @@ def cmd_sparsify(args) -> int:
 def cmd_thin(args) -> int:
     dag, mapping = _read_graph(args.input)
     result = solve(dag, variant=args.variant)
+    if args.verify:
+        problems, _ = _verify_cover(dag, result.cover)
+        if problems:
+            print("; ".join(problems), file=sys.stderr)
+            return EXIT_VERIFY
     thinned = thin(dag, result.cover)
     support = sorted(cover_support(thinned))
     if args.verify:

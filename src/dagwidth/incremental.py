@@ -31,6 +31,17 @@ A failed search only adds a one-vertex path. The variant names "k2" and
 "k3" both select this bookkeeping; "k2" is kept as a name for
 compatibility.
 
+The search runs on the codes alone. A vertex's kept in-edges are appended
+in one go, so their ids form a contiguous range from `in_first[v]`, and
+`in_codes[v]` lists the out-half codes of their tails in that order;
+`out_pos[u]` lists the in-half codes of the heads of u's cross edges that
+carry flow. A pop scans one of these lists and keeps one int per code it
+enqueues, the code it came from. A level gets a queue only when a code
+lands on it, and a heap of pending levels gives the highest next. Only the
+found path is read back as edges: a step between the halves of one vertex
+is its split edge, and a cross edge's id is found by scanning its head's
+range for the tail's code, at most |f| entries.
+
 Path maintenance runs on the pre-merge levels. Each level keeps a bucket
 of its codes and a count of them. A vertex that sinks is appended to its
 new bucket and leaves a stale entry in the old one; the charged region is
@@ -48,6 +59,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -59,9 +71,6 @@ from .sparsify import sparsify_vertex
 
 K2 = "k2"
 K3 = "k3"
-
-_SENTINEL = -1  # predecessor marker for the first traversal layer
-
 
 @dataclass
 class LevelAssignment:
@@ -82,7 +91,9 @@ class TraversalResult:
     `_last` is the path's last code before the sink (-1 if none), and
     `_steps` lists the path's edges from the new vertex's in-half to
     `_last` as (edge key, reversed) pairs, empty after a failed search.
-    An edge key is a cross edge id, or -(u+1) for u's split edge.
+    An edge key is a cross edge id, or -(u+1) for u's split edge. The
+    search reads `_steps` back from its predecessor codes once it has
+    found the path; a failed search builds none.
     """
 
     __slots__ = ("min_level", "_popped", "_steps", "_last")
@@ -161,7 +172,11 @@ class SolverState:
         self.cross_tail: list[int] = []
         self.cross_head: list[int] = []
         self.cross_f: list[int] = []
-        self.in_cross: list[list[int]] = [[] for _ in range(n)]
+        # v's kept in-edges are the ids in_first[v] + i, in_codes[v][i] the
+        # out-half code of the i-th one's tail; out_pos[u] holds the in-half
+        # codes of the heads of u's cross edges with flow
+        self.in_first = [0] * n
+        self.in_codes: list[list[int]] = [[] for _ in range(n)]
         self.out_pos: list[list[int]] = [[] for _ in range(n)]
         self.f_size = 0
         # levels: network vertex code x (v_in = 2v, v_out = 2v+1) -> level.
@@ -172,9 +187,12 @@ class SolverState:
         self.buckets: list[list[int]] = [[]]
         self.size = [0]
         self.cut_demand: list[int] = []
-        # traversal scratch, epoch-stamped
+        # traversal scratch: a code was enqueued in this search when its
+        # enq_epoch is the current epoch, and then pred holds the code it
+        # was enqueued from
         self.enq_epoch = [0] * (2 * n)
         self.epoch = 0
+        self.pred = [0] * (2 * n)
         # cover bookkeeping: the flow decomposition and each vertex's path id
         self.paths: list[list[int]] = []
         self.path_of = [0] * n
@@ -296,12 +314,13 @@ class SolverState:
         return sparsify_vertex(in_neighbors, self.path_of, self.dag.topo_pos, t)
 
     def _install(self, v: int, survivors: list[int]) -> None:
+        self.in_first[v] = len(self.cross_f)
+        codes = self.in_codes[v]
         for u in survivors:
-            eid = len(self.cross_f)
             self.cross_tail.append(u)
             self.cross_head.append(v)
             self.cross_f.append(0)
-            self.in_cross[v].append(eid)
+            codes.append(2 * u + 1)
         self.split_f[v] = 1
         self.srcin_f[v] = 1
         self.outsink_f[v] = 1
@@ -315,68 +334,77 @@ class SolverState:
         epoch = self.epoch
         enq = self.enq_epoch
         lv = self.lv
-        pred: dict[int, tuple[int, int, bool]] = {}
+        pred = self.pred
+        in_codes = self.in_codes
+        out_pos = self.out_pos
+        outsink_f = self.outsink_f
+        split_f = self.split_f
         popped: list[int] = []
-        m = self.max_level
-        queues: list[list[int]] = [[] for _ in range(m + 1)]
-        qhead = [0] * (m + 1)
+        queues: dict[int, list[int]] = {}
+        pending: list[int] = []  # negated levels whose queue is not walked yet
+        start = 2 * v
 
-        for e in self.in_cross[v]:
-            u_out = 2 * self.cross_tail[e] + 1
-            if enq[u_out] != epoch:
-                enq[u_out] = epoch
-                queues[lv[u_out]].append(u_out)
-                pred[u_out] = (_SENTINEL, e, True)
+        for y in in_codes[v]:  # reverse cross edges into v, distinct tails
+            enq[y] = epoch
+            pred[y] = start
+            j = lv[y]
+            q = queues.get(j)
+            if q is None:
+                queues[j] = [y]
+                heappush(pending, -j)
+            else:
+                q.append(y)
 
-        found_last = -1
-        cur = m
-        while cur >= 0:
+        last = -1
+        while pending and last < 0:
+            cur = -heappop(pending)
             q = queues[cur]
-            if qhead[cur] >= len(q):
-                cur -= 1
-                continue
-            x = q[qhead[cur]]
-            qhead[cur] += 1
-            popped.append(x)
-            u = x >> 1
-            if x & 1:  # u_out
-                if self.outsink_f[u] > 0:
-                    found_last = x
-                    break
-                y = x - 1  # reverse split edge
-                if enq[y] != epoch:
-                    enq[y] = epoch
-                    queues[lv[y]].append(y)
-                    pred[y] = (x, -(u + 1), True)
-                for e in self.out_pos[u]:  # direct cross edges carrying flow
-                    y = 2 * self.cross_head[e]
+            for x in q:  # residual edges never raise the level: q grows as walked
+                popped.append(x)
+                u = x >> 1
+                if x & 1:  # u_out: reverse split, direct cross edges with flow
+                    if outsink_f[u] > 0:
+                        last = x
+                        break
+                    ys = [x - 1, *out_pos[u]]
+                elif split_f[u] > 1:  # u_in: reverse cross edges, slack split
+                    ys = [*in_codes[u], x + 1]
+                else:
+                    ys = in_codes[u]
+                for y in ys:
                     if enq[y] != epoch:
                         enq[y] = epoch
-                        queues[lv[y]].append(y)
-                        pred[y] = (x, e, False)
-            else:  # u_in
-                for e in self.in_cross[u]:  # reverse cross edges
-                    y = 2 * self.cross_tail[e] + 1
-                    if enq[y] != epoch:
-                        enq[y] = epoch
-                        queues[lv[y]].append(y)
-                        pred[y] = (x, e, True)
-                if self.split_f[u] > 1:  # direct split edge with slack
-                    y = x + 1
-                    if enq[y] != epoch:
-                        enq[y] = epoch
-                        queues[lv[y]].append(y)
-                        pred[y] = (x, -(u + 1), False)
+                        pred[y] = x
+                        j = lv[y]
+                        if j == cur:
+                            q.append(y)
+                        elif j in queues:
+                            queues[j].append(y)
+                        else:
+                            queues[j] = [y]
+                            heappush(pending, -j)
 
-        if found_last < 0:
+        if last < 0:
             return TraversalResult(0, popped, [], -1)
+        # read the steps back along the predecessors: a split step keeps the
+        # vertex, a step from an out-half is a direct cross edge, any other
+        # a reverse one; a cross edge's id is its tail's slot in the head's range
+        in_first = self.in_first
         steps = []
-        code = found_last
-        while code != _SENTINEL:
-            code, ekey, is_rev = pred[code]
-            steps.append((ekey, is_rev))
+        y = last
+        while y != start:
+            x = pred[y]
+            if x >> 1 == y >> 1:
+                steps.append((-(x >> 1) - 1, x & 1 == 1))
+            elif x & 1:
+                w = y >> 1
+                steps.append((in_first[w] + in_codes[w].index(x), False))
+            else:
+                w = x >> 1
+                steps.append((in_first[w] + in_codes[w].index(y), True))
+            y = x
         steps.reverse()
-        return TraversalResult(lv[found_last], popped, steps, found_last)
+        return TraversalResult(lv[last], popped, steps, last)
 
     def apply_updates(self, result: TraversalResult, v: int) -> None:
         """Flow, level, cut-demand and cover bookkeeping updates."""
@@ -456,9 +484,9 @@ class SolverState:
                 before = self.cross_f[ekey]
                 self.cross_f[ekey] = before + delta
                 if before == 0 and delta == 1:
-                    self.out_pos[tail].append(ekey)
+                    self.out_pos[tail].append(2 * self.cross_head[ekey])
                 elif before == 1 and delta == -1:
-                    self.out_pos[tail].remove(ekey)
+                    self.out_pos[tail].remove(2 * self.cross_head[ekey])
 
     # ------------------------------------------------------ cover bookkeeping
 
@@ -582,8 +610,8 @@ class SolverState:
         # ancestor masks over the sparsified prefix, for reachability checks
         anc = self._anc
         mask = 1 << v
-        for e in self.in_cross[v]:
-            mask |= anc[self.cross_tail[e]]
+        for y in self.in_codes[v]:
+            mask |= anc[y >> 1]
         anc[v] = mask
 
         inserted = [u for u in range(n) if self.inserted[u]]
@@ -599,6 +627,26 @@ class SolverState:
                 raise InvariantViolation(f"cross edge {e} decreases level")
             if self.cross_f[e] > 0 and lv[tu] != lv[hv]:
                 raise InvariantViolation(f"positive cross edge {e} crosses levels")
+        # the search's adjacency: w's in-edge codes name the tails of the ids
+        # from in_first[w], whose heads are w, and these ranges hold every
+        # kept edge; out_pos[u] holds the heads of u's edges with flow
+        ranged = 0
+        for w in range(n):
+            first, codes = self.in_first[w], self.in_codes[w]
+            end = first + len(codes)
+            if (codes != [2 * t + 1 for t in self.cross_tail[first:end]]
+                    or self.cross_head[first:end] != [w] * len(codes)):
+                raise InvariantViolation(f"in-edge codes of {w} do not match its kept edges")
+            ranged += len(codes)
+        if ranged != len(self.cross_f):
+            raise InvariantViolation("in-edge ranges do not hold every kept edge")
+        flowing: list[list[int]] = [[] for _ in range(n)]
+        for e, f in enumerate(self.cross_f):
+            if f > 0:
+                flowing[self.cross_tail[e]].append(2 * self.cross_head[e])
+        for u in range(n):
+            if sorted(self.out_pos[u]) != sorted(flowing[u]):
+                raise InvariantViolation(f"out-edge codes of {u} do not match its edges with flow")
         # Invariant B
         for u in inserted:
             if self.outsink_f[u] > 0:

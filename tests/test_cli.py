@@ -22,10 +22,10 @@ def test_mpc_d4(tmp_path, capsys):
     assert cover.size == 2
 
 
-def test_mpc_verify_rejects_a_non_minimum_cover_beyond_the_oracle(
-        tmp_path, capsys, monkeypatch):
-    # n > 500 is past the oracle's bound; the decrementing-path check
-    # still rejects a valid cover of singletons on a chain
+def _singleton_chain(tmp_path, monkeypatch) -> str:
+    """A 600-vertex chain, with the solver patched to cover it by
+    singletons: a valid cover that is not minimum. n > 500 is past the
+    oracle's bound, so only the decrementing-path check can reject it."""
     from types import SimpleNamespace
 
     from dagwidth import PathCover, cli
@@ -34,9 +34,50 @@ def test_mpc_verify_rejects_a_non_minimum_cover_beyond_the_oracle(
     singletons = PathCover([[v] for v in range(n)])
     monkeypatch.setattr(cli, "solve",
                         lambda dag, variant: SimpleNamespace(cover=singletons))
-    rc = main(["mpc", _write(tmp_path, "chain.txt", text), "--verify"])
+    return _write(tmp_path, "chain.txt", text)
+
+
+def test_mpc_verify_rejects_a_non_minimum_cover_beyond_the_oracle(
+        tmp_path, capsys, monkeypatch):
+    rc = main(["mpc", _singleton_chain(tmp_path, monkeypatch), "--verify"])
     assert rc == 2
     assert "not minimum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["antichain", "mcc", "thin"])
+def test_verify_rejects_a_non_minimum_solver_cover(command, tmp_path, capsys, monkeypatch):
+    rc = main([command, _singleton_chain(tmp_path, monkeypatch), "--verify"])
+    assert rc == 2
+    assert "not minimum" in capsys.readouterr().err
+
+
+def test_antichain_verify_sweeps_once(tmp_path, capsys, monkeypatch):
+    from dagwidth import cli
+    calls = []
+    sweep = cli.max_antichain
+    monkeypatch.setattr(cli, "max_antichain",
+                        lambda dag, cover: calls.append(1) or sweep(dag, cover))
+    rc = main(["antichain", _write(tmp_path, "g.txt", D4_TEXT), "--verify"])
+    assert rc == 0 and capsys.readouterr().out == "1 2\n"
+    assert len(calls) == 1
+
+
+def test_mcc_verify_rejects_a_chain_out_of_path_order(tmp_path, capsys, monkeypatch):
+    # the chains stay disjoint and cover every vertex, but [0, 3, 1] steps
+    # from 3 back to 1, which no path of the cover does
+    from dagwidth import cli
+    chain_cover = cli.chain_cover_from_mpc
+
+    def swapped(dag, cover):
+        chains = chain_cover(dag, cover)
+        assert chains.paths[0] == [0, 1, 3]
+        chains.paths[0][1:] = [3, 1]
+        return chains
+
+    monkeypatch.setattr(cli, "chain_cover_from_mpc", swapped)
+    rc = main(["mcc", _write(tmp_path, "g.txt", D4_TEXT), "--verify"])
+    assert rc == 2
+    assert capsys.readouterr().err == "chain 0 is not a subsequence of cover path 0\n"
 
 
 def test_mpc_single_vertex(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -122,6 +124,31 @@ def _visits_per_vertex(dag):
         for x in state.insert_vertex(v, dag.in_adj[v])._popped:
             visits[x >> 1] += 1
     return visits
+
+
+# Recorded at revision 31e31fe, whose search kept edge-id adjacency, tuple
+# predecessors and a queue for every level: the counts and covers pin the
+# pops and their order. The cover is the sha256 of its paths' JSON, cut to 16.
+PINNED_TRAVERSALS = [
+    (lambda: remark_family(8), 632,
+     {"total_units": 7716, "traversal_units": 6984, "sparsify_units": 732,
+      "repair_units": 200, "merges": 16}, "ef65b8fd5abff1bb"),
+    (lambda: gen_random_dag(2000, 4, 2.0, 1), 4260,
+     {"total_units": 35529, "traversal_units": 24552, "sparsify_units": 10977,
+      "repair_units": 4152, "merges": 1976}, "76ae61c857d6a1e6"),
+]
+
+
+@pytest.mark.parametrize("make, pops, charges, cover_digest", PINNED_TRAVERSALS,
+                         ids=["remark-8", "random-2000"])
+def test_traversal_matches_recorded_counts(make, pops, charges, cover_digest):
+    dag = make()
+    state = SolverState(dag, "k2")
+    popped = sum(len(state.insert_vertex(v, dag.in_adj[v])._popped) for v in dag.topo)
+    paths = state.result().cover.paths
+    assert popped == pops
+    assert state.charge_counters() == charges
+    assert hashlib.sha256(json.dumps(paths).encode()).hexdigest()[:16] == cover_digest
 
 
 def test_chain_visits_constant_per_vertex():
@@ -448,6 +475,26 @@ def test_audit_flags_code_missing_from_its_bucket():
         state.insert_vertex(2, dag.in_adj[2])
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda st: st.in_codes[1].__setitem__(0, 3), "in-edge codes of 1 do not match its kept edges"),
+    (lambda st: st.in_first.__setitem__(1, 1), "in-edge codes of 1 do not match its kept edges"),
+    (lambda st: st.in_codes[0].append(1), "in-edge codes of 0 do not match its kept edges"),
+    (lambda st: st.in_codes[1].pop(), "in-edge ranges do not hold every kept edge"),
+    (lambda st: st.out_pos[0].clear(), "out-edge codes of 0 do not match its edges with flow"),
+    (lambda st: st.out_pos[0].append(2), "out-edge codes of 0 do not match its edges with flow"),
+    (lambda st: st.out_pos[1].append(2), "out-edge codes of 1 do not match its edges with flow"),
+], ids=["wrong-code", "shifted-range", "stray-code", "missing-code", "lost-head",
+        "doubled-head", "stray-head"])
+def test_audit_flags_search_adjacency_out_of_step(corrupt, message):
+    # the kept edge 0 -> 1 carries flow, so in_codes[1] == [1] from
+    # in_first[1] == 0 and out_pos[0] == [2]; the isolated 2 reads neither
+    dag, state = _two_levels_then_isolated()
+    assert (state.in_first[1], state.in_codes[1], state.out_pos[0]) == (0, [1], [2])
+    corrupt(state)
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        state.insert_vertex(2, dag.in_adj[2])
+
+
 def test_charged_region_counts_codes_at_levels_from_l():
     """charge_units is (|f| + 1) * popped + region per insertion, with the
     region recounted from the levels the merge has not yet shifted."""
@@ -570,9 +617,13 @@ def test_result_flags_unused_flow(variant):
 def test_result_flags_unused_cross_flow(variant):
     # a surplus unit on a positive cross edge is on no stored path
     state = _solved(remark_family(4), variant)
+
+    def in_edges(h):
+        return range(state.in_first[h], state.in_first[h] + len(state.in_codes[h]))
+
     h = next(h for h in range(state.n)
-             if not state.srcin_f[h] and any(state.cross_f[e] for e in state.in_cross[h]))
-    e = [e for e in state.in_cross[h] if state.cross_f[e]][-1]
+             if not state.srcin_f[h] and any(state.cross_f[e] for e in in_edges(h)))
+    e = [e for e in in_edges(h) if state.cross_f[e]][-1]
     state.cross_f[e] += 1
     uv = rf"\({state.cross_tail[e]}, {h}\)"
     with pytest.raises(InvariantViolation, match=f"^stored paths do not match the flow on {uv}$"):
