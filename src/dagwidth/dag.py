@@ -78,41 +78,54 @@ def build_dag(n: int, edges: list[tuple[int, int]]) -> Dag:
     on ids outside [0, n) and CycleDetected if the edges admit no topological
     order.
     """
-    out_sets: list[set[int]] = [set() for _ in range(n)]
+    heads: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise OutOfRange(f"edge ({u}, {v}) outside [0, {n})")
         if u == v:
             raise SelfLoop(f"self-loop at vertex {u}")
-        out_sets[u].add(v)
+        heads[u].append(v)
+    return dag_from_heads(n, heads)
 
-    out_adj = [sorted(s) for s in out_sets]
+
+def dag_from_heads(n: int, heads: list[list[int]]) -> Dag:
+    """Finish a Dag from heads[u], the heads of u's edges in any order.
+
+    The lists are taken over as out_adj: each is sorted and de-duplicated in
+    place. Every head must lie in [0, n) and differ from its tail; the callers
+    check that first, so they can name the offending edge. Raises
+    CycleDetected if the edges admit no topological order.
+    """
     in_adj: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for u in range(n):
-        for v in out_adj[u]:
-            indeg[v] += 1
-    # Kahn's algorithm with a min-id heap for a canonical order.
-    heap = [v for v in range(n) if indeg[v] == 0]
-    heapq.heapify(heap)
+    for u, out in enumerate(heads):
+        if len(out) > 1:
+            distinct = set(out)
+            if len(distinct) < len(out):
+                out[:] = sorted(distinct)
+            else:
+                out.sort()
+        # scanning tails in increasing order leaves every in_adj list sorted
+        for v in out:
+            in_adj[v].append(u)
+    indeg = list(map(len, in_adj))
+    # Kahn's algorithm with a min-id heap for a canonical order; the initial
+    # list is ascending, so it is already a heap.
+    heap = [v for v in range(n) if not indeg[v]]
     topo: list[int] = []
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        u = heapq.heappop(heap)
+        u = pop(heap)
         topo.append(u)
-        for v in out_adj[u]:
+        for v in heads[u]:
             indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, v)
+            if not indeg[v]:
+                push(heap, v)
     if len(topo) != n:
         raise CycleDetected("cycle detected: no topological order exists")
     topo_pos = [0] * n
     for pos, v in enumerate(topo):
         topo_pos[v] = pos
-    # scanning tails in increasing order leaves every in_adj list sorted
-    for u in range(n):
-        for v in out_adj[u]:
-            in_adj[v].append(u)
-    return Dag(n, out_adj, in_adj, topo, topo_pos)
+    return Dag(n, heads, in_adj, topo, topo_pos)
 
 
 def prefix(dag: Dag, i: int) -> tuple[Dag, list[int]]:

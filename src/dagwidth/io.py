@@ -2,16 +2,24 @@
 
 Edge-list format: optional '#' comment lines, then "n m", then m lines "u v".
 Path-cover format: first line "t", then t lines of space-separated vertex ids.
+
+An edge list is read in one pass: each line's head goes straight onto its
+tail's list, and dag.dag_from_heads finishes the Dag from those lists. Only
+when a line is malformed, an id is negative or at least n, or an edge is a
+self-loop does a second, checked pass run: it names the first fault in input
+order, or remaps sparse ids and builds the Dag with build_dag.
 """
 from __future__ import annotations
 
-from .dag import Dag, PathCover, build_dag
+from .dag import Dag, PathCover, build_dag, dag_from_heads
 from .errors import ParseError
 
 
 def _data_lines(text: str) -> list[str]:
-    return [ln for ln in map(str.strip, text.splitlines())
-            if ln and not ln.startswith("#")]
+    lines = map(str.strip, text.splitlines())
+    if "#" not in text:
+        return list(filter(None, lines))
+    return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
 def parse_edge_list(text: str, want_mapping: bool = False):
@@ -36,8 +44,34 @@ def parse_edge_list(text: str, want_mapping: bool = False):
         raise ParseError("negative counts in header")
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
+    del lines[0]
+    heads = _dense_heads(n, lines)
+    if heads is None:
+        return _parse_edges_checked(n, lines, want_mapping)
+    del lines  # the line strings weigh about as much as the Dag: free them first
+    dag = dag_from_heads(n, heads)
+    return (dag, list(range(n))) if want_mapping else dag
+
+
+def _dense_heads(n: int, lines: list[str]) -> list[list[int]] | None:
+    """heads[u] for the edge lines "u v", or None unless every line holds two
+    ints in [0, n) that differ."""
+    heads: list[list[int]] = [[] for _ in range(n)]
+    try:
+        for a, b in map(str.split, lines):
+            u, v = int(a), int(b)
+            if u < 0 or u == v or not 0 <= v < n:
+                return None
+            heads[u].append(v)  # IndexError if u >= n
+    except (ValueError, IndexError):
+        return None
+    return heads
+
+
+def _parse_edges_checked(n: int, lines: list[str], want_mapping: bool):
+    """The edge lines checked one by one, then remapped if any id is >= n."""
     raw_edges: list[tuple[int, int]] = []
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"bad edge line {ln!r}")
@@ -63,7 +97,7 @@ def parse_edge_list(text: str, want_mapping: bool = False):
     else:
         mapping = list(range(n))
         edges = raw_edges
-    dag = build_dag(n, edges)
+    dag = build_dag(n, edges)  # raises SelfLoop on the first self-loop in input order
     return (dag, mapping) if want_mapping else dag
 
 
@@ -86,7 +120,7 @@ def parse_path_cover(text: str) -> PathCover:
     paths = []
     for ln in lines[1:]:
         try:
-            paths.append([int(x) for x in ln.split()])
+            paths.append(list(map(int, ln.split())))
         except ValueError as exc:
             raise ParseError(f"bad path line {ln!r}") from exc
     return PathCover(paths)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagwidth import (PathCover, build_dag, gen_random_dag,
-                      oracle_max_antichain, oracle_width, validate_cover)
+                      oracle_max_antichain, oracle_width, solve, validate_cover)
 from dagwidth.errors import TooLarge
 
 
@@ -69,3 +69,41 @@ def test_validate_cover_uncovered(d4):
 def test_validate_cover_non_edge(d4):
     report = validate_cover(d4, PathCover([[0, 3], [1], [2]]))
     assert "not an edge: (0, 3)" in report.violations
+
+
+def _violations_step_by_step(dag, paths):
+    """validate_cover's violations, listed by a plain walk over every path."""
+    out = []
+    covered = set()
+    for idx, path in enumerate(paths):
+        if not path:
+            out.append(f"empty path at index {idx}")
+            continue
+        for v in path:
+            if 0 <= v < dag.n:
+                covered.add(v)
+            else:
+                out.append(f"unknown vertex: {v}")
+        for u, v in zip(path, path[1:]):
+            if 0 <= u < dag.n and 0 <= v < dag.n and (u, v) not in dag.edges():
+                out.append(f"not an edge: ({u}, {v})")
+    out += [f"uncovered: {v}" for v in range(dag.n) if v not in covered]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 40), st.data())
+def test_validate_cover_lists_every_violation(n, seed, data):
+    dag = gen_random_dag(n, 1 + seed % n, 1.0, seed) if n else build_dag(0, [])
+    vertex = st.integers(-2, n + 1) if data.draw(st.booleans()) else st.integers(0, max(n - 1, 0))
+    if data.draw(st.booleans()) and n:
+        # a valid cover, perhaps with one vertex dropped or one step bent
+        paths = [list(p) for p in solve(dag, "k2").cover.paths]
+        if data.draw(st.booleans()):
+            path = data.draw(st.sampled_from(paths))
+            path[data.draw(st.integers(0, len(path) - 1))] = data.draw(vertex)
+    else:
+        paths = data.draw(st.lists(st.lists(vertex, max_size=5), max_size=6))
+    report = validate_cover(dag, PathCover(paths))
+    assert report.violations == _violations_step_by_step(dag, paths)
+    assert report.ok == (report.violations == [])
