@@ -108,6 +108,20 @@ def test_order_violations(d4):
         state.insert_vertex(0, [])  # twice
 
 
+@pytest.mark.parametrize("bad", [-1, 7])
+def test_out_of_range_in_neighbours_are_rejected(bad):
+    # -1 would read the inserted flag of vertex 2 and 7 lies past the end;
+    # neither may reach the solver's lists
+    dag = build_dag(3, [(2, 0), (2, 1)])
+    state = SolverState(dag, "k2", debug=True)
+    state.insert_vertex(2, [])
+    with pytest.raises(OrderViolation, match=f"^in-neighbor {bad} of 0 out of range$"):
+        state.insert_vertex(0, [2, bad])
+    assert state.count == 1 and state.cross_tail == [] and not state.inserted[0]
+    state.insert_vertex(0, dag.in_adj[0])
+    assert state.paths == [[2, 0]]
+
+
 def test_end_vertices_track_flow(d4):
     state = SolverState(d4, "k2", debug=True)
     expected = [{0}, {1}, {1, 2}, {2, 3}]
@@ -129,26 +143,42 @@ def _visits_per_vertex(dag):
 # Recorded at revision 31e31fe, whose search kept edge-id adjacency, tuple
 # predecessors and a queue for every level: the counts and covers pin the
 # pops and their order. The cover is the sha256 of its paths' JSON, cut to 16.
+# The search digest, recorded at 7997d63 (before one-pop insertions skipped
+# the layered loop), is the same hash over every insertion's popped codes,
+# steps, last code, min level and merge flag, then the final levels. On
+# remark-8 one insertion in five pops once and finds its path; on
+# random-2000 nearly all do, so both routes through the search are pinned.
 PINNED_TRAVERSALS = [
     (lambda: remark_family(8), 632,
      {"total_units": 7716, "traversal_units": 6984, "sparsify_units": 732,
-      "repair_units": 200, "merges": 16}, "ef65b8fd5abff1bb"),
+      "repair_units": 200, "merges": 16}, "ef65b8fd5abff1bb", "2e5f1fda1d94685e"),
     (lambda: gen_random_dag(2000, 4, 2.0, 1), 4260,
      {"total_units": 35529, "traversal_units": 24552, "sparsify_units": 10977,
-      "repair_units": 4152, "merges": 1976}, "76ae61c857d6a1e6"),
+      "repair_units": 4152, "merges": 1976}, "76ae61c857d6a1e6", "8ad61cbd3f7b2593"),
 ]
 
 
-@pytest.mark.parametrize("make, pops, charges, cover_digest", PINNED_TRAVERSALS,
-                         ids=["remark-8", "random-2000"])
-def test_traversal_matches_recorded_counts(make, pops, charges, cover_digest):
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("make, pops, charges, cover_digest, search_digest",
+                         PINNED_TRAVERSALS, ids=["remark-8", "random-2000"])
+def test_traversal_matches_recorded_counts(make, pops, charges, cover_digest,
+                                           search_digest):
     dag = make()
     state = SolverState(dag, "k2")
-    popped = sum(len(state.insert_vertex(v, dag.in_adj[v])._popped) for v in dag.topo)
-    paths = state.result().cover.paths
-    assert popped == pops
+    searches = []
+    for v in dag.topo:
+        r = state.insert_vertex(v, dag.in_adj[v])
+        searches.append([r._popped, r._steps, r._last, r.min_level, state.last_merge])
+    result = state.result()
+    levels = result.levels
+    assert sum(len(s[0]) for s in searches) == pops
     assert state.charge_counters() == charges
-    assert hashlib.sha256(json.dumps(paths).encode()).hexdigest()[:16] == cover_digest
+    assert _digest(result.cover.paths) == cover_digest
+    assert _digest([searches, levels.level_in, levels.level_out,
+                    levels.cut_demand]) == search_digest
 
 
 def test_chain_visits_constant_per_vertex():
