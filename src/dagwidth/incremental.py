@@ -54,6 +54,15 @@ path through u, the one `path_of[u]` names. On the benchmark's inputs
 (seeds 101 and 2401) this covers 99.85% of `narrow` insertions and 90% of
 `wide` ones.
 
+A failed search stops above level 0. By B no end vertex's out-half lies
+on level 0, and by A no residual edge leaves it, so no path ends there or
+passes through it; v's own out-half is out of reach, with no kept edge
+leaving it yet and one unit on its split. The search then fails with
+minimum level 0 once every higher level is walked: each code it skipped
+is already on level 0, where the update would sink it, so only the pops
+and the traversal units charged for them fall. A found search never
+reaches level 0, since its path ends above it.
+
 Path maintenance runs on the pre-merge levels. Each level keeps a bucket
 of its codes and a count of them. A vertex that sinks is appended to its
 new bucket and leaves a stale entry in the old one; the charged region is
@@ -99,7 +108,9 @@ class TraversalResult:
 
     found tells whether a decrementing path exists; min_level is the
     smallest visited level (0 after a failed search). `_popped` lists the
-    popped network vertex codes (v_in = 2v, v_out = 2v+1) in pop order;
+    popped network vertex codes (v_in = 2v, v_out = 2v+1) in pop order,
+    none of them on level 0: a failed search stops above it, where the
+    codes it skips would stay anyway;
     `_last` is the path's last code before the sink (-1 if none), and
     `_steps` lists the path's edges from the new vertex's in-half to
     `_last` as (edge key, reversed) pairs, empty after a failed search.
@@ -344,7 +355,11 @@ class SolverState:
         self.f_size += 1  # tentative; drops back if a decrementing path exists
 
     def _search(self, v: int) -> TraversalResult:
-        """Search for a decrementing path, one BFS per layer, highest first."""
+        """Search for a decrementing path, one BFS per layer, highest first.
+
+        Fails without walking level 0: no path ends there, and no residual
+        edge leaves it (see the module docstring).
+        """
         lv = self.lv
         in_codes = self.in_codes
         outsink_f = self.outsink_f
@@ -382,6 +397,8 @@ class SolverState:
         last = -1
         while pending and last < 0:
             cur = -heappop(pending)
+            if cur == 0:  # no path ends on level 0, and from there none leaves it
+                break
             q = queues[cur]
             for x in q:  # residual edges never raise the level: q grows as walked
                 popped.append(x)

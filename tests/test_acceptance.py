@@ -15,6 +15,7 @@ from dagwidth import (PathCover, gen_random_dag, max_antichain_from_flow,
                       oracle_max_antichain, remark_family, shrink, solve,
                       splice, thin, validate_cover)
 from dagwidth.cli import main
+from dagwidth.incremental import SolverState
 from dagwidth.oracle import closure_masks
 from dagwidth.sparsify import sparsify_all
 from dagwidth.thinning import cover_support
@@ -116,13 +117,24 @@ def test_criterion_5_bench_scaling(tmp_path):
           f"({elapsed:.1f} s)")
 
 
-def test_bench_scaling_instances_meet_the_charging_bound():
-    """Criterion 5's three instances, as `bench` builds them, counted
-    instead of timed: criterion 4's bound holds on each."""
-    fills = []
+@pytest.fixture(scope="module")
+def bench_instances():
+    """Criterion 5's three instances, as `bench` builds them, each solved
+    once: (n, dag, result, pops over all its searches)."""
+    out = []
     for i, n in enumerate((10000, 20000, 40000)):
         dag = gen_random_dag(n, 4, 2.0, 1 + i)
-        result = solve(dag)
+        state = SolverState(dag)
+        pops = sum(len(state.insert_vertex(v, dag.in_adj[v])._popped) for v in dag.topo)
+        out.append((n, dag, state.result(), pops))
+    return out
+
+
+def test_bench_scaling_instances_meet_the_charging_bound(bench_instances):
+    """Criterion 5's three instances counted instead of timed: criterion
+    4's bound holds on each."""
+    fills = []
+    for n, dag, result, _ in bench_instances:
         assert validate_cover(dag, result.cover).ok, n
         k = result.cover.size
         units = result.charges["total_units"]
@@ -131,6 +143,17 @@ def test_bench_scaling_instances_meet_the_charging_bound():
         fills.append(units / bound)
     print(f"[criterion 5, counted] PASS: charged work within 8*k^2*n + |E| on "
           f"the bench instances (fills {['%.2f' % f for f in fills]})")
+
+
+def test_bench_scaling_instances_pop_linearly(bench_instances):
+    """Criterion 5's doubling bound on the searches' pops instead of the
+    time: at most 2.5x more per doubling of n, whatever the host's speed."""
+    pops = [p for _, _, _, p in bench_instances]
+    ratios = [b / a for a, b in zip(pops, pops[1:])]
+    for ratio in ratios:
+        assert ratio <= 2.5, (pops, ratios)
+    print(f"[criterion 5, pops] PASS: pops {pops}, doubling ratios "
+          f"{['%.2f' % r for r in ratios]} <= 2.5")
 
 
 def test_criterion_6_transitive_sparsification(solved_corpus):

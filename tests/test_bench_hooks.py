@@ -51,7 +51,8 @@ def test_solver_exposes_what_the_callbacks_read(d4):
     state = SolverState(d4, "k2")
     searches = [state.insert_vertex(v, d4.in_adj[v]) for v in d4.topo]
     assert isinstance(state.last_merge, bool)
-    assert [s._popped for s in searches] == [[], [1], [1, 0, 2], [3]]
+    # the third search fails with every code it could reach on level 0
+    assert [s._popped for s in searches] == [[], [1], [], [3]]
     assert [s.found for s in searches] == [False, True, False, True]
     assert "traversal_units" in state.result().charges
 

@@ -148,13 +148,20 @@ def _visits_per_vertex(dag):
 # steps, last code, min level and merge flag, then the final levels. On
 # remark-8 one insertion in five pops once and finds its path; on
 # random-2000 nearly all do, so both routes through the search are pinned.
+# Once failed searches stopped above level 0, random-2000's pops, traversal
+# and total units and search digest were recorded again (no failed search
+# on remark-8 walked level 0). The steps digest, recorded at f9c1d57
+# before that stop, is the search digest without the popped codes: the stop
+# changed what a failed search pops and nothing else.
 PINNED_TRAVERSALS = [
     (lambda: remark_family(8), 632,
      {"total_units": 7716, "traversal_units": 6984, "sparsify_units": 732,
-      "repair_units": 200, "merges": 16}, "ef65b8fd5abff1bb", "2e5f1fda1d94685e"),
-    (lambda: gen_random_dag(2000, 4, 2.0, 1), 4260,
-     {"total_units": 35529, "traversal_units": 24552, "sparsify_units": 10977,
-      "repair_units": 4152, "merges": 1976}, "76ae61c857d6a1e6", "8ad61cbd3f7b2593"),
+      "repair_units": 200, "merges": 16}, "ef65b8fd5abff1bb", "2e5f1fda1d94685e",
+     "e649e32b692b8149"),
+    (lambda: gen_random_dag(2000, 4, 2.0, 1), 3639,
+     {"total_units": 33206, "traversal_units": 22229, "sparsify_units": 10977,
+      "repair_units": 4152, "merges": 1976}, "76ae61c857d6a1e6", "279be661ff399be7",
+     "e10b469b596d4d00"),
 ]
 
 
@@ -162,10 +169,10 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("make, pops, charges, cover_digest, search_digest",
+@pytest.mark.parametrize("make, pops, charges, cover_digest, search_digest, steps_digest",
                          PINNED_TRAVERSALS, ids=["remark-8", "random-2000"])
 def test_traversal_matches_recorded_counts(make, pops, charges, cover_digest,
-                                           search_digest):
+                                           search_digest, steps_digest):
     dag = make()
     state = SolverState(dag, "k2")
     searches = []
@@ -174,11 +181,72 @@ def test_traversal_matches_recorded_counts(make, pops, charges, cover_digest,
         searches.append([r._popped, r._steps, r._last, r.min_level, state.last_merge])
     result = state.result()
     levels = result.levels
+    final = [levels.level_in, levels.level_out, levels.cut_demand]
     assert sum(len(s[0]) for s in searches) == pops
     assert state.charge_counters() == charges
     assert _digest(result.cover.paths) == cover_digest
-    assert _digest([searches, levels.level_in, levels.level_out,
-                    levels.cut_demand]) == search_digest
+    assert _digest([searches, *final]) == search_digest
+    assert _digest([[s[1:] for s in searches], *final]) == steps_digest
+
+
+def _residual_reaches_an_end(state, v) -> bool:
+    """Whether a plain BFS over the whole residual, at every level, reaches
+    an end vertex's out-half from v's in-half.
+
+    The residual comes from the flow arrays alone: a kept edge (t, h) can
+    gain a unit (h_in -> t_out) and lose one while it carries flow
+    (t_out -> h_in); a split can gain one (u_out -> u_in) and lose one above
+    its demand of 1 (u_in -> u_out).
+    """
+    adj: list[list[int]] = [[] for _ in range(2 * state.n)]
+    for t, h, f in zip(state.cross_tail, state.cross_head, state.cross_f):
+        adj[2 * h].append(2 * t + 1)
+        if f > 0:
+            adj[2 * t + 1].append(2 * h)
+    for u in range(state.n):
+        if state.inserted[u]:
+            adj[2 * u + 1].append(2 * u)
+            if state.split_f[u] > 1:
+                adj[2 * u].append(2 * u + 1)
+    seen = {2 * v}
+    queue = [2 * v]
+    for x in queue:
+        if x & 1 and state.outsink_f[x >> 1] > 0:
+            return True
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return False
+
+
+def _checked_search(state, tally: Counter):
+    """state._search, checked on every call against the residual BFS; it
+    must also pop no code that is on level 0 when it searches."""
+    search = state._search
+
+    def checked(v):
+        result = search(v)
+        assert all(state.lv[x] for x in result._popped), v
+        assert _residual_reaches_an_end(state, v) == result.found, v
+        tally["failed"] += not result.found
+        tally["failed_with_pops"] += not result.found and bool(result._popped)
+        return result
+    return checked
+
+
+def test_failed_searches_miss_no_decrementing_path():
+    # a failed search stops above level 0; the BFS ignores levels, and it
+    # must find a path exactly when the search does
+    tally: Counter = Counter()
+    dags = [corpus_instance(seed) for seed in range(1000)]
+    dags += [gen_random_dag(300, 30, 0.5, seed) for seed in (1, 2, 3)]
+    for dag in dags:
+        state = SolverState(dag, "k2")
+        state._search = _checked_search(state, tally)
+        for v in dag.topo:
+            state.insert_vertex(v, dag.in_adj[v])
+    assert tally["failed_with_pops"] > 0 and tally["failed"] > tally["failed_with_pops"]
 
 
 def test_chain_visits_constant_per_vertex():
