@@ -54,6 +54,21 @@ path through u, the one `path_of[u]` names. On the benchmark's inputs
 (seeds 101 and 2401) this covers 99.85% of `narrow` insertions and 90% of
 `wide` ones.
 
+`solve` has two routes through the same insertions. The step route calls
+`insert_vertex` per vertex, which runs `_sparsify_in`, `_install`,
+`_search` and `apply_updates` (with `_apply_flow_deltas` and `_k3_repair`)
+as methods, so a caller can replace or wrap any of them, and the debug
+auditor and the trace line run after each insertion. The kernel,
+`_insert_all`, is one loop over the order with the state's lists bound to
+locals: it checks the order and sparsifies v's in-edges in one pass,
+installs them, and runs the one-pop route inline (the flow unit on v's new
+edge, v's halves on levels l and l+1, the append to the path that ends at
+u, the merge). Any other insertion goes to `_search` and `apply_updates`.
+Both routes leave the same state, counters included. `solve` takes the
+step route when debug or trace is on, or when any of those five methods
+has been replaced on the instance, as a test or the benchmark's tracer
+does, and the kernel otherwise.
+
 A failed search stops above level 0. By B no end vertex's out-half lies
 on level 0, and by A no residual edge leaves it, so no path ends there or
 passes through it; v's own out-half is out of reach, with no kept edge
@@ -85,7 +100,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .dag import Dag, PathCover
-from .errors import InvariantViolation, OrderViolation
+from .errors import BadPathId, InvariantViolation, OrderViolation
 from .flow import Flow, FlowNetwork, flow_from_cover
 from .flow import decompose  # noqa: F401  the benchmark's flow.decompose hook targets this binding
 from .sparsify import sparsify_vertex
@@ -262,6 +277,138 @@ class SolverState:
                   f"l={result.min_level} |f|={self.f_size} merge={self.last_merge}",
                   file=self._trace_out)
         return result
+
+    def _insert_all(self, order, in_adj) -> None:
+        """Insert each v of order, with in-neighbours in_adj[v], in one loop.
+
+        Runs what `insert_vertex` runs, with the same checks, errors and
+        counters, but without its per-insertion method calls: the order
+        checks and the in-edge sparsifier share one pass over the
+        in-neighbours, and a one-pop insertion's flow, level, splice and
+        merge updates are inline. Any other insertion goes to `_search`
+        and `apply_updates`, and a one-pop insertion whose `path_of` hint
+        names a path that does not end at u to `_k3_repair`; the counters
+        those share are handed over to self around the call.
+        """
+        n = self.n
+        inserted = self.inserted
+        path_of = self.path_of
+        topo_pos = self.dag.topo_pos
+        lv = self.lv
+        split_f, srcin_f, outsink_f = self.split_f, self.srcin_f, self.outsink_f
+        cross_tail, cross_head, cross_f = self.cross_tail, self.cross_head, self.cross_f
+        in_first, in_codes, out_pos = self.in_first, self.in_codes, self.out_pos
+        buckets, size, cut_demand = self.buckets, self.size, self.cut_demand
+        paths = self.paths
+        count, f_size, merged = self.count, self.f_size, self.last_merge
+        charge, sparsify, repair, merges = (self.charge_units, self.sparsify_units,
+                                            self.repair_units, self.merges)
+        try:
+            for v in order:
+                nbrs = in_adj[v]
+                if not (0 <= v < n):
+                    raise OrderViolation(f"vertex {v} out of range")
+                if inserted[v]:
+                    raise OrderViolation(f"vertex {v} inserted twice")
+                # per path id, the topologically last in-neighbour survives
+                best = {}
+                for u in nbrs:
+                    if not (0 <= u < n and inserted[u]):
+                        problem = "not yet inserted" if 0 <= u < n else "out of range"
+                        raise OrderViolation(f"in-neighbor {u} of {v} {problem}")
+                    p = path_of[u]
+                    w = best.get(p)
+                    if w is None or topo_pos[u] > topo_pos[w]:
+                        best[p] = u
+                sparsify += len(nbrs) + f_size
+                ids = sorted(best)
+                if ids and (ids[0] < 1 or ids[-1] > f_size):
+                    bad = ids[0] if ids[0] < 1 else ids[-1]
+                    raise BadPathId(f"path id {bad} outside [1, {f_size}]")
+
+                # install the kept edges in path-id order; y is the first
+                # code on the highest level, e its edge
+                in_first[v] = len(cross_f)
+                codes = in_codes[v]
+                top = -1
+                for p in ids:
+                    u = best[p]
+                    x = 2 * u + 1
+                    cross_tail.append(u)
+                    cross_head.append(v)
+                    cross_f.append(0)
+                    codes.append(x)
+                    if lv[x] > top:
+                        top = lv[x]
+                        y = x
+                        e = len(cross_f) - 1
+                split_f[v] = 1
+                outsink_f[v] = 1
+                inserted[v] = 1
+                count += 1
+
+                if top < 0 or outsink_f[y >> 1] <= 0:
+                    srcin_f[v] = 1
+                    self.f_size, self.charge_units = f_size + 1, charge
+                    self.repair_units, self.merges = repair, merges
+                    try:
+                        self.apply_updates(self._search(v), v)
+                    finally:
+                        f_size, charge = self.f_size, self.charge_units
+                        repair, merges = self.repair_units, self.merges
+                        merged = self.last_merge
+                    continue
+
+                # one pop: v's new edge from the end vertex a takes v's
+                # source unit, so |f| and v's source edge stay as they were
+                a = y >> 1
+                l = top
+                outsink_f[a] -= 1
+                cross_f[e] = 1
+                out_pos[a].append(2 * v)
+                charge += f_size + 3 + sum(size[l:])
+                lv[2 * v] = l
+                buckets[l].append(2 * v)
+                size[l] += 1
+                if l == len(cut_demand):
+                    buckets.append([])
+                    size.append(0)
+                    cut_demand.append(0)
+                lv[2 * v + 1] = l + 1
+                buckets[l + 1].append(2 * v + 1)
+                size[l + 1] += 1
+                cut_demand[l] += 1
+
+                pid = path_of[a]
+                path = paths[pid - 1]
+                if path[-1] == a:
+                    path.append(v)
+                    path_of[v] = pid
+                    repair += 2
+                else:
+                    self.repair_units = repair
+                    try:
+                        self._k3_repair(TraversalResult(l, [y], [(e, True)], y), v, l)
+                    finally:
+                        repair = self.repair_units
+
+                merged = l >= 1 and cut_demand[l] == cut_demand[l - 1]
+                if merged:  # as in apply_updates
+                    merges += 1
+                    for j in range(l, len(buckets)):
+                        live = []
+                        for x in buckets[j]:
+                            if lv[x] == j:
+                                lv[x] = j - 1
+                                live.append(x)
+                        buckets[j] = live
+                    buckets[l - 1] += buckets.pop(l)
+                    size[l - 1] += size.pop(l)
+                    del cut_demand[l - 1]
+        finally:
+            self.count, self.f_size, self.last_merge = count, f_size, merged
+            self.charge_units, self.sparsify_units = charge, sparsify
+            self.repair_units, self.merges = repair, merges
 
     def charge_counters(self) -> dict:
         """Instrumentation snapshot: total charged work and merges."""
@@ -783,6 +930,12 @@ class SolverState:
                 raise InvariantViolation(f"path id of {u} is wrong")
 
 
+# Replacing one of these on a SolverState instance sends solve() through
+# insert_vertex, where the replacement sees every insertion.
+_STEP_HOOKS = frozenset(("_sparsify_in", "_search", "apply_updates",
+                         "_apply_flow_deltas", "_k3_repair"))
+
+
 def solve(dag: Dag, variant: str = K2, debug: bool | None = None,
           trace: bool | None = None) -> SolveResult:
     """Compute an MPC of dag by inserting vertices in topological order.
@@ -791,11 +944,22 @@ def solve(dag: Dag, variant: str = K2, debug: bool | None = None,
     decomposition, and return the same cover ("k2" is kept as a name for
     compatibility). debug/trace default to the DAGWIDTH_DEBUG environment
     variable and enable the per-insertion invariant auditor and trace lines.
+
+    The insertions run in the kernel, `SolverState._insert_all`, unless
+    debug or trace is on or one of `_sparsify_in`, `_search`,
+    `apply_updates`, `_apply_flow_deltas` and `_k3_repair` has been
+    replaced on the state (a SolverState factory patched into this module
+    can do that); then each goes through `insert_vertex`, where the audit,
+    the trace line and the replacement see every one. Both routes give the
+    same result, charge counters included.
     """
     env = os.environ.get("DAGWIDTH_DEBUG") == "1"
     state = SolverState(dag, variant,
                         debug=env if debug is None else debug,
                         trace=env if trace is None else trace)
-    for v in dag.topo:
-        state.insert_vertex(v, dag.in_adj[v])
+    if state.debug or state.trace or not _STEP_HOOKS.isdisjoint(vars(state)):
+        for v in dag.topo:
+            state.insert_vertex(v, dag.in_adj[v])
+    else:
+        state._insert_all(dag.topo, dag.in_adj)
     return state.result()

@@ -8,8 +8,9 @@ from collections import Counter
 import pytest
 
 from dagwidth import (PathCover, build_dag, check_flow, decompose,
-                      flow_from_cover, gen_random_dag, oracle_width, reaches,
-                      remark_family, shrink, solve, validate_cover)
+                      flow_from_cover, gen_random_dag, incremental, oracle_width,
+                      reaches, remark_family, shrink, solve, validate_cover)
+from dagwidth.dag import Dag
 from dagwidth.errors import BadPathId, InvariantViolation, OrderViolation
 from dagwidth.incremental import SolverState
 from tests.conftest import corpus_instance
@@ -809,3 +810,191 @@ def test_structured_family_width(family):
         assert result.cover.size == width, variant
         assert validate_cover(dag, result.cover).ok, variant
     assert shrink(dag, PathCover([[v] for v in range(dag.n)])).size == width
+
+
+# ------------------------------------------------- kernel and step route
+
+def _snapshot(state):
+    """Everything a solve leaves in its state, buckets as their live codes."""
+    lv = state.lv
+    return {
+        "charges": state.charge_counters(), "paths": state.paths,
+        "path_of": state.path_of, "cross_tail": state.cross_tail,
+        "cross_head": state.cross_head, "cross_f": state.cross_f,
+        "in_first": state.in_first, "in_codes": state.in_codes,
+        "out_pos": state.out_pos, "split_f": state.split_f,
+        "srcin_f": state.srcin_f, "outsink_f": state.outsink_f, "lv": lv,
+        "size": state.size, "cut_demand": state.cut_demand,
+        "live": [sorted(x for x in b if lv[x] == j) for j, b in enumerate(state.buckets)],
+        "f_size": state.f_size, "count": state.count,
+        "inserted": state.inserted, "last_merge": state.last_merge,
+    }
+
+
+def _solve_keeping_state(dag, variant, monkeypatch):
+    """solve(dag) with its SolverState kept; the factory replaces nothing,
+    so solve runs the kernel."""
+    made = []
+
+    def make(*args, **kwargs):
+        made.append(SolverState(*args, **kwargs))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(incremental, "SolverState", make)
+        result = solve(dag, variant)
+    return made[0], result
+
+
+def _kernel_dags():
+    for seed in range(1000):
+        yield corpus_instance(seed)  # criterion 1's corpus
+    yield remark_family(8)
+    yield _complete_bipartite_layers([12] * 5)
+    yield _complete_bipartite_layers([3, 16, 1, 9, 16, 5])
+    for s in (1, 2, 3):
+        yield gen_random_dag(3000, 128, 0.5, s)  # many general-route insertions
+
+
+def test_kernel_ends_in_the_step_routes_state(monkeypatch):
+    for dag in _kernel_dags():
+        for variant in ("k2", "k3"):
+            kernel, result = _solve_keeping_state(dag, variant, monkeypatch)
+            step = _solved(dag, variant)
+            assert _snapshot(kernel) == _snapshot(step), (dag.n, variant)
+            expected = step.result()
+            assert result.cover.paths == expected.cover.paths
+            assert result.levels == expected.levels
+            assert result.charges == expected.charges
+
+
+@pytest.mark.parametrize("make, pops, charges, cover_digest, search_digest, steps_digest",
+                         PINNED_TRAVERSALS, ids=["remark-8", "random-2000"])
+def test_kernel_matches_recorded_counts(make, pops, charges, cover_digest,
+                                        search_digest, steps_digest, monkeypatch):
+    # the kernel never runs insert_vertex
+    monkeypatch.setattr(SolverState, "insert_vertex", None)
+    result = solve(make())
+    assert result.charges == charges
+    assert _digest(result.cover.paths) == cover_digest
+
+
+def _count_searches(monkeypatch):
+    """Count SolverState._search calls; replacing it on the class leaves
+    solve's routing alone. The step route searches once per insertion, the
+    kernel only off its one-pop route."""
+    calls = Counter()
+    search = SolverState._search
+
+    def counted(self, v):
+        calls["search"] += 1
+        return search(self, v)
+
+    monkeypatch.setattr(SolverState, "_search", counted)
+    return calls
+
+
+ROUTING_DAG = remark_family(8)  # one insertion in five pops once
+
+
+def test_kernel_skips_searches_on_one_pop_insertions(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    solve(ROUTING_DAG)
+    assert 0 < calls["search"] < ROUTING_DAG.n
+
+
+@pytest.mark.parametrize("kwargs", [{"debug": True}, {"trace": True}, {}],
+                         ids=["debug", "trace", "env"])
+def test_debug_and_trace_take_the_step_route(kwargs, monkeypatch, capsys):
+    monkeypatch.setenv("DAGWIDTH_DEBUG", "0" if kwargs else "1")
+    calls = _count_searches(monkeypatch)
+    solve(ROUTING_DAG, **kwargs)
+    assert calls["search"] == ROUTING_DAG.n
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == (0 if "debug" in kwargs else ROUTING_DAG.n)
+
+
+@pytest.mark.parametrize("hook", sorted(incremental._STEP_HOOKS))
+def test_replaced_step_takes_the_step_route(hook, monkeypatch):
+    # a factory patched into the module, as the benchmark's tracer does it
+    calls = Counter()
+
+    def make(*args, **kwargs):
+        state = SolverState(*args, **kwargs)
+        original = getattr(state, hook)
+
+        def counted(*a):
+            calls[hook] += 1
+            return original(*a)
+
+        setattr(state, hook, counted)
+        return state
+
+    monkeypatch.setattr(incremental, "SolverState", make)
+    result = solve(ROUTING_DAG)
+    assert result.cover.size == oracle_width(ROUTING_DAG)
+    # found paths only: a failed search adds a path without the flow update
+    expected = {"_apply_flow_deltas": ROUTING_DAG.n - result.cover.size,
+                "_k3_repair": ROUTING_DAG.n - result.cover.size}
+    assert calls[hook] == expected.get(hook, ROUTING_DAG.n)
+
+
+def _hand_made_dag(n, in_adj, topo):
+    out_adj = [[] for _ in range(n)]
+    for v, us in enumerate(in_adj):
+        for u in us:
+            if 0 <= u < n:
+                out_adj[u].append(v)
+    pos = [0] * n
+    for i, v in enumerate(topo):
+        pos[v] = i
+    return Dag(n, out_adj, in_adj, topo, pos)
+
+
+def _run_both_routes(dag, error):
+    """Raise error on both routes; their messages and states must agree."""
+    outcomes = []
+    for state in (SolverState(dag), SolverState(dag)):
+        with pytest.raises(error) as info:
+            if outcomes:
+                for v in dag.topo:
+                    state.insert_vertex(v, dag.in_adj[v])
+            else:
+                state._insert_all(dag.topo, dag.in_adj)
+        outcomes.append((str(info.value), _snapshot(state)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0][0]
+
+
+D4_IN = [[], [0], [0], [1, 2]]
+
+
+@pytest.mark.parametrize("in_adj, topo, message", [
+    (D4_IN, [0, 3, 1, 2], "in-neighbor 1 of 3 not yet inserted"),
+    (D4_IN, [0, 1, 1, 2, 3], "vertex 1 inserted twice"),
+    ([[], [0, 7], [0], [1, 2]], [0, 1, 2, 3], "in-neighbor 7 of 1 out of range"),
+    ([[], [0], [-1, 0], [1, 2]], [0, 1, 2, 3], "in-neighbor -1 of 2 out of range"),
+], ids=["before-in-neighbour", "twice", "past-the-end", "negative"])
+def test_kernel_raises_the_step_routes_order_violation(in_adj, topo, message):
+    dag = _hand_made_dag(4, in_adj, topo)
+    assert _run_both_routes(dag, OrderViolation) == message
+    with pytest.raises(OrderViolation, match=f"^{message}$"):
+        solve(dag)
+
+
+@pytest.mark.parametrize("bad", [5, 0])
+def test_kernel_rejects_out_of_range_path_id(chain10, bad):
+    # as test_sparsify_in_rejects_out_of_range_path_id, through the kernel
+    messages = []
+    for route in ("kernel", "step"):
+        state = SolverState(chain10, "k2")
+        state._insert_all([0], chain10.in_adj)
+        state.path_of[0] = bad
+        with pytest.raises(BadPathId) as info:
+            if route == "kernel":
+                state._insert_all([1], chain10.in_adj)
+            else:
+                state.insert_vertex(1, [0])
+        messages.append((str(info.value), _snapshot(state)))
+    assert messages[0] == messages[1]
+    assert messages[0][0] == f"path id {bad} outside [1, 1]"
