@@ -393,7 +393,7 @@ class SolverState:
                         repair = self.repair_units
 
                 merged = l >= 1 and cut_demand[l] == cut_demand[l - 1]
-                if merged:  # as in apply_updates
+                if merged:  # as in apply_updates; a shared method measured slower
                     merges += 1
                     for j in range(l, len(buckets)):
                         live = []
