@@ -5,7 +5,8 @@ read and written in the shared edge-list format; covers in the path-cover
 format. Every output names vertices by the labels of the input, even when
 those are sparse. Exit codes: 0 ok, 1 input or usage error, 2 verification
 failure, 3 internal invariant violation; errors print one line to stderr.
-DAGWIDTH_DEBUG=1 turns on per-insertion auditing and trace lines.
+DAGWIDTH_DEBUG=1 turns on per-insertion auditing and trace lines. `bench`
+times `solve`'s insertion loop, the kernel `SolverState._insert_all`.
 """
 from __future__ import annotations
 
@@ -229,8 +230,7 @@ def cmd_bench(args) -> int:
         for _ in range(args.repeats):
             state = SolverState(dag, args.variant)
             t0 = time.perf_counter()
-            for v in dag.topo:
-                state.insert_vertex(v, dag.in_adj[v])
+            state._insert_all(dag.topo, dag.in_adj)
             times.append((time.perf_counter() - t0) * 1000.0)
             charges = state.charge_counters()["total_units"]
         rows.append(f"{n},{dag.m},{args.k},{args.variant},"
@@ -287,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bench", help="timing sweep, CSV n,m,k,variant,ms,charges")
+    p = sub.add_parser("bench", help="time solve's insertion loop, CSV n,m,k,variant,ms,charges")
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--sizes", type=_size_list, default="10000,20000,40000")
     p.add_argument("--extra", type=float, default=2.0)

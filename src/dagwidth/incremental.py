@@ -42,32 +42,27 @@ found path is read back as edges: a step between the halves of one vertex
 is its split edge, and a cross edge's id is found by scanning its head's
 range for the tail's code, at most |f| entries.
 
-Most insertions take a short route. The layered loop's first pop is the
-first code of `in_codes[v]` on the highest level; when that is the out-half
-of an end vertex u (its sink edge carries flow), the loop stops there with
-a path of one reversed step, along v's new edge from u. `_search` checks
-this before it builds any queue and returns what the loop would: that one
-popped code, that step and u's out-half level. The flow update then gives
-the edge its unit, and the splice appends v to the path that ends at u.
-By A and B an end vertex's split carries one unit, so that is the only
-path through u, the one `path_of[u]` names. On the benchmark's inputs
-(seeds 101 and 2401) this covers 99.85% of `narrow` insertions and 90% of
-`wide` ones.
-
-`solve` has two routes through the same insertions. The step route calls
-`insert_vertex` per vertex, which runs `_sparsify_in`, `_install`,
-`_search` and `apply_updates` (with `_apply_flow_deltas` and `_k3_repair`)
-as methods, so a caller can replace or wrap any of them, and the debug
-auditor and the trace line run after each insertion. The kernel,
-`_insert_all`, is one loop over the order with the state's lists bound to
-locals: it checks the order and sparsifies v's in-edges in one pass,
-installs them, and runs the one-pop route inline (the flow unit on v's new
-edge, v's halves on levels l and l+1, the append to the path that ends at
-u, the merge). Any other insertion goes to `_search` and `apply_updates`.
-Both routes leave the same state, counters included. `solve` takes the
-step route when debug or trace is on, or when any of those five methods
-has been replaced on the instance, as a test or the benchmark's tracer
-does, and the kernel otherwise.
+Most insertions pop once. The layered loop's first pop is the first code
+of `in_codes[v]` on the highest level; when that is the out-half of an end
+vertex u (its sink edge carries flow), the path is one reversed step, along
+v's new edge from u: the edge gets its unit and v is appended to the path
+that ends at u. By A and B an end vertex's split carries one unit, so that
+is the only path through u, the one `path_of[u]` names. On the benchmark's
+inputs (seeds 101 and 2401) this covers 99.85% of `narrow` insertions and
+90% of `wide` ones. That route lives in the kernel, `_insert_all`, only:
+one loop over the order with the state's lists bound to locals, which
+checks the order and sparsifies v's in-edges in one pass, installs them,
+and runs the one-pop route inline (the flow unit, v's halves on levels l
+and l+1, the append, the merge). Any other insertion goes to `_search` and
+`apply_updates`. The step route, `insert_vertex`, is the per-method
+reference: it runs `_sparsify_in`, `_install`, `_search` and
+`apply_updates` (with `_apply_flow_deltas` and `_k3_repair`) for every
+insertion, one pop or not, so a caller can replace or wrap any of them,
+and the debug auditor and the trace line run after each insertion. Both
+routes leave the same state, counters included. `solve` takes the step
+route when debug or trace is on, or when any of those five methods has
+been replaced on the instance, as a test or the benchmark's tracer does,
+and the kernel otherwise.
 
 A failed search stops above level 0. By B no end vertex's out-half lies
 on level 0, and by A no residual edge leaves it, so no path ends there or
@@ -510,15 +505,6 @@ class SolverState:
         lv = self.lv
         in_codes = self.in_codes
         outsink_f = self.outsink_f
-        codes = in_codes[v]
-        if codes:
-            # the layered loop pops the first code on the highest level
-            # first; when that is an end vertex's out-half, v extends the
-            # stored path that ends there, one reversed edge from v's in-half
-            y = codes[0] if len(codes) == 1 else max(codes, key=lv.__getitem__)
-            if outsink_f[y >> 1] > 0:
-                return TraversalResult(lv[y], [y],
-                                       [(self.in_first[v] + codes.index(y), True)], y)
         self.epoch += 1
         epoch = self.epoch
         enq = self.enq_epoch
@@ -530,7 +516,7 @@ class SolverState:
         pending: list[int] = []  # negated levels whose queue is not walked yet
         start = 2 * v
 
-        for y in codes:  # reverse cross edges into v, distinct tails
+        for y in in_codes[v]:  # reverse cross edges into v, distinct tails
             enq[y] = epoch
             pred[y] = start
             j = lv[y]
@@ -666,13 +652,7 @@ class SolverState:
         self.f_size -= 1
         self.srcin_f[v] -= 1
         self.outsink_f[a] -= 1
-        steps = result._steps
-        if len(steps) == 1:
-            # one reversed step: v's new edge from a gains its first unit
-            self.cross_f[steps[0][0]] = 1
-            self.out_pos[a].append(2 * v)
-            return
-        for ekey, is_rev in steps:
+        for ekey, is_rev in result._steps:
             delta = 1 if is_rev else -1
             if ekey < 0:
                 self.split_f[-ekey - 1] += delta
@@ -713,23 +693,10 @@ class SolverState:
         """
         paths = self.paths
         path_of = self.path_of
-        steps = result._steps
-        if len(steps) == 1:
-            # one reversed step: v joins the path that ends at a. An end
-            # vertex lies on one path only; if path_of disagrees, the
-            # general splice below looks it up and raises if none ends at a
-            a = result._last >> 1
-            pid = path_of[a]
-            path = paths[pid - 1]
-            if path[-1] == a:
-                path.append(v)
-                path_of[v] = pid
-                self.repair_units += 2  # a scanned, v appended
-                return
         dangling = [v]
         dropped = -1
         units = 0
-        for ekey, is_rev in steps:
+        for ekey, is_rev in result._steps:
             if ekey < 0:
                 u = -ekey - 1
                 if is_rev:

@@ -3,8 +3,10 @@
 With a path cover of size t, any vertex keeps at most t incoming edges: per
 cover path at most one in-neighbor survives, the topologically last one, and
 every dropped edge is transitive through it. `last_per_path` is that rule,
-one dict filled in one pass over the in-neighbors; the solver,
-`sparsify_vertex` and `sparsify_all` all pick their survivors with it.
+one dict filled in one pass over the in-neighbors; `sparsify_vertex` (which
+the solver's step route calls) and `sparsify_all` pick their survivors with
+it. The solver's kernel, `SolverState._insert_all`, runs the same rule
+inline, in the pass that also checks the insertion order.
 """
 from __future__ import annotations
 

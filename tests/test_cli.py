@@ -215,6 +215,22 @@ def test_bench_row_count(capsys):
         assert len(fields) == 6
 
 
+def test_bench_times_the_kernel(capsys, monkeypatch):
+    # solve runs the kernel, never insert_vertex; bench must time that loop
+    from dagwidth import gen_random_dag, solve
+    from dagwidth.incremental import SolverState
+
+    monkeypatch.setattr(SolverState, "insert_vertex", None)
+    rc = main(["bench", "--k", "3", "--sizes", "60,120", "--extra", "1.5",
+               "--repeats", "2", "--seed", "4"])
+    assert rc == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert len(rows) == 2
+    for i, (row, n) in enumerate(zip(rows, (60, 120))):
+        expected = solve(gen_random_dag(n, 3, 1.5, 4 + i)).charges["total_units"]
+        assert row.split(",")[5] == str(expected), n
+
+
 def test_verify_rejects_corrupted_cover(d4):
     # the CLI --verify path rests on this check: corrupted covers never pass
     import random

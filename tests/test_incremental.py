@@ -148,7 +148,8 @@ def _visits_per_vertex(dag):
 # the layered loop), is the same hash over every insertion's popped codes,
 # steps, last code, min level and merge flag, then the final levels. On
 # remark-8 one insertion in five pops once and finds its path; on
-# random-2000 nearly all do, so both routes through the search are pinned.
+# random-2000 nearly all do, so both one-pop and longer searches are pinned;
+# the step route runs both through the same layered loop in `_search`.
 # Once failed searches stopped above level 0, random-2000's pops, traversal
 # and total units and search digest were recorded again (no failed search
 # on remark-8 walked level 0). The steps digest, recorded at f9c1d57
@@ -998,3 +999,28 @@ def test_kernel_rejects_out_of_range_path_id(chain10, bad):
         messages.append((str(info.value), _snapshot(state)))
     assert messages[0] == messages[1]
     assert messages[0][0] == f"path id {bad} outside [1, 1]"
+
+
+def test_kernel_one_pop_with_a_missed_path_hint():
+    # 2's in-neighbour 0 ends path 1, but path_of[0] names path 2, which
+    # ends at 1: the kernel's one-pop route hands the splice to _k3_repair,
+    # whose lookup scans past the hint
+    dag = _hand_made_dag(3, [[], [], [0]], [0, 1, 2])
+    snapshots = []
+    for route in ("kernel", "step"):
+        state = SolverState(dag, "k2")
+        if route == "kernel":
+            state._insert_all([0, 1], dag.in_adj)
+            state.path_of[0] = 2
+            state._insert_all([2], dag.in_adj)
+        else:
+            for v in (0, 1):
+                state.insert_vertex(v, dag.in_adj[v])
+            state.path_of[0] = 2
+            assert state.insert_vertex(2, [0])._popped == [1]
+        snapshots.append(_snapshot(state))
+        result = state.result()
+        assert result.cover.paths == [[0, 2], [1]]
+        assert validate_cover(dag, result.cover).ok
+    assert snapshots[0] == snapshots[1]
+    assert snapshots[0]["charges"]["repair_units"] == 3  # a hit would count 2
