@@ -1,8 +1,14 @@
-"""Maximum antichains from minimum flows, and minimum chain covers from MPCs.
+"""Maximum antichains and minimum chain covers from minimum path covers.
 
 The split edges crossing the maximum one-way cut of the reduction, read off
 as the vertices whose in-half is residually reachable from the source while
-the out-half is not, form a maximum antichain.
+the out-half is not, form a maximum antichain; `residual_antichain` finds
+them in one sweep over the graph and the cover. A cover that `solve`
+returned needs no sweep while it carries its certificate
+(`oracle.solver_certificate`): `max_antichain` then reads the solver's
+level-0 layered cut, and `chain_cover_from_mpc` skips `validate_cover`.
+The CLI's `--verify` calls the sweep itself, so its check never rests on
+the certificate.
 """
 from __future__ import annotations
 
@@ -10,7 +16,8 @@ from .dag import Dag, PathCover
 from .errors import InvariantViolation, NotACover, NotMinimum
 from .flow import Flow, FlowNetwork, source_side_vertices
 from .flow import flow_from_cover  # noqa: F401  the benchmark's flow.from_cover hook targets this binding
-from .oracle import validate_cover
+from .oracle import solver_certificate
+from .oracle import validate_cover  # the benchmark's oracle.validate hook targets this binding
 
 
 def max_antichain_from_flow(net: FlowNetwork, f_min: Flow) -> set[int]:
@@ -27,21 +34,44 @@ def max_antichain_from_flow(net: FlowNetwork, f_min: Flow) -> set[int]:
 
 
 def max_antichain(dag: Dag, cover: PathCover) -> set[int]:
-    """Maximum antichain from an MPC; raises NotMinimum if the cover is not
-    minimum.
+    """Maximum antichain from an MPC; raises NotACover if cover is no path
+    cover of dag and NotMinimum if it is not minimum.
 
-    Runs the residual sweep of `source_side_vertices` on the cover's own
-    flow without building a network: a path head's in-half is reached from
-    the source, an in-half v_in reaches u_out for every in-neighbour u of v
+    A solver cover with its certificate gives the level-0 layered cut,
+    {v : level_in[v] == 0 < level_out[v]}, in O(n). The reverse of every
+    kept edge and split edge is residual and never raises the level, so
+    for u reaching w along kept edges, level_out[u] <= level_in[w]: no
+    member reaches another, and a cut of cover.size members is maximum.
+    A cut of any other size, and every other cover, is validated and
+    swept by `residual_antichain`.
+    """
+    cert = solver_certificate(dag, cover)
+    if cert is not None:
+        level_out = cert.levels.level_out
+        members = {v for v, level in enumerate(cert.levels.level_in)
+                   if not level and level_out[v]}
+        if len(members) == len(cover.paths):
+            return members
+    report = validate_cover(dag, cover)
+    if not report.ok:
+        raise NotACover("; ".join(report.violations[:3]))
+    return residual_antichain(dag, cover)
+
+
+def residual_antichain(dag: Dag, cover: PathCover) -> set[int]:
+    """Maximum antichain by the residual sweep of a valid path cover of dag;
+    raises NotMinimum if the cover is not minimum.
+
+    Runs the sweep of `source_side_vertices` on the cover's own flow
+    without building a network: a path head's in-half is reached from the
+    source, an in-half v_in reaches u_out for every in-neighbour u of v
     (reverse cross edge) and its own out-half when v lies on two or more
     paths (split flow above the demand), and an out-half u_out reaches u_in
     (reverse split edge) and w_in for every successor w of u on a path.
     Reaching the out-half of a path's last vertex means a decrementing path
-    reaches the sink.
+    reaches the sink. The cover is not validated here; `max_antichain`
+    does that first.
     """
-    report = validate_cover(dag, cover)
-    if not report.ok:
-        raise NotACover("; ".join(report.violations[:3]))
     n = dag.n
     in_adj = dag.in_adj
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -86,9 +116,10 @@ def chain_cover_from_mpc(dag: Dag, cover: PathCover) -> PathCover:
     that empties would contradict the cover being minimum, so that case is
     flagged rather than silently rebalanced.
     """
-    report = validate_cover(dag, cover)
-    if not report.ok:
-        raise NotACover("; ".join(report.violations[:3]))
+    if solver_certificate(dag, cover) is None:
+        report = validate_cover(dag, cover)
+        if not report.ok:
+            raise NotACover("; ".join(report.violations[:3]))
     seen = bytearray(dag.n)
     chains: list[list[int]] = []
     for path in cover.paths:

@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import io
-from .antichain import chain_cover_from_mpc, max_antichain
+from .antichain import chain_cover_from_mpc, max_antichain, residual_antichain
 from .dag import Dag, PathCover, gen_random_dag, remark_family
 from .errors import DagWidthError, InvariantViolation, NotMinimum, ParseError
 from .incremental import SolverState, solve
@@ -85,13 +85,14 @@ def _emit(text: str, out: str | None) -> None:
 def _verify_cover(dag: Dag, cover: PathCover) -> tuple[list[str], set[int] | None]:
     """Problems with a cover that should be minimum, and the maximum
     antichain read off it (None unless the cover is valid and minimum). A
-    valid cover must admit no decrementing path at any n; within the
+    valid cover must admit no decrementing path at any n, which the
+    residual sweep decides without the solver's certificate; within the
     oracle's bound its size is also checked against the width."""
     problems = list(validate_cover(dag, cover).violations)
     members = None
     if not problems:
         try:
-            members = max_antichain(dag, cover)
+            members = residual_antichain(dag, cover)
         except NotMinimum as exc:
             problems.append(f"cover is not minimum: {exc}")
     if dag.n <= WIDTH_BOUND:

@@ -25,7 +25,8 @@ class Dag:
             edge (u, v).
     """
 
-    __slots__ = ("n", "out_adj", "in_adj", "topo", "topo_pos")
+    # __weakref__: a solver cover's certificate refers to its Dag weakly
+    __slots__ = ("n", "out_adj", "in_adj", "topo", "topo_pos", "__weakref__")
 
     def __init__(self, n: int, out_adj: list[list[int]], in_adj: list[list[int]],
                  topo: list[int], topo_pos: list[int]):
@@ -55,6 +56,9 @@ class PathCover:
     """
 
     paths: list[list[int]] = field(default_factory=list)
+    # not a field: SolverState.result() sets it on the cover it returns,
+    # and only oracle.solver_certificate reads it
+    _certificate = None
 
     @property
     def size(self) -> int:

@@ -82,12 +82,15 @@ their stale ones on the way.
 
 The final cover is a copy of the stored paths, checked to decompose the
 flow exactly. No flow network or flow is built unless a result's
-`network` or `flow` is read.
+`network` or `flow` is read. The cover carries that proof on to the later
+stages as a certificate (see SolveResult): the antichain is its level-0
+cut and the sparsified subgraph its kept edges, with no second check.
 """
 from __future__ import annotations
 
 import os
 import sys
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -154,6 +157,24 @@ class _KeptEdges(NamedTuple):
     cross_head: list[int]
 
 
+class _Certificate(NamedTuple):
+    """What a solve proved about the cover it returned, kept on that cover.
+
+    dag is a weak reference to the Dag object solved, with every vertex
+    offered its own in-edges, so that the cover does not keep the graph
+    alive; paths a private copy of the cover's paths, which were checked
+    to decompose the final flow along the kept edges; levels and kept the
+    same objects the SolveResult holds. `oracle.solver_certificate` hands
+    it out only for that live Dag and while the cover still lists exactly
+    these paths.
+    """
+
+    dag: weakref.ref
+    paths: list[list[int]]
+    levels: LevelAssignment
+    kept: _KeptEdges
+
+
 class SolveResult:
     """A finished solve: the cover, the final levels and the charge counters.
 
@@ -162,6 +183,14 @@ class SolveResult:
     the kept edges copied when the result was frozen, so they describe
     that moment even if the solver state changes afterwards. The flow is
     the cover's own: the cover was checked to decompose it exactly.
+
+    When every vertex was offered its Dag's own in-edge list, the cover
+    also carries a private certificate: a weak reference to the Dag, a
+    copy of the paths, the levels and the kept edges. For a cover that still lists exactly those
+    paths, and for that same Dag object, `max_antichain` reads the level-0
+    cut, `sparsify_all` builds the subgraph of the kept edges, and
+    `chain_cover_from_mpc` and `thin` skip `validate_cover`. Any other
+    cover, a copy included, takes their checked route.
     """
 
     def __init__(self, cover: PathCover, levels: LevelAssignment, charges: dict,
@@ -196,6 +225,9 @@ class SolverState:
         self.debug = debug
         self.trace = trace
         self.n = n
+        # stays True while every vertex is offered dag.in_adj[v] itself, so
+        # that result() may certify the cover for dag
+        self._own_edges = True
         self.inserted = bytearray(n)
         self.count = 0
         # flow values per edge family
@@ -258,6 +290,8 @@ class SolverState:
             if not (0 <= u < n and inserted[u]):
                 problem = "not yet inserted" if 0 <= u < n else "out of range"
                 raise OrderViolation(f"in-neighbor {u} of {v} {problem}")
+        if in_neighbors is not self.dag.in_adj[v]:
+            self._own_edges = False
         prev_out_levels = self._end_out_levels() if self.debug else None
 
         survivors = self._sparsify_in(v, in_neighbors)
@@ -285,6 +319,8 @@ class SolverState:
         names a path that does not end at u to `_k3_repair`; the counters
         those share are handed over to self around the call.
         """
+        if in_adj is not self.dag.in_adj:
+            self._own_edges = False
         n = self.n
         inserted = self.inserted
         path_of = self.path_of
@@ -422,7 +458,10 @@ class SolverState:
         ties in path-id order. Every vertex must carry split flow (its
         demand), and the paths must decompose the flow exactly
         (`_check_paths`). The flow network and the flow itself are built
-        only if the result's `network` or `flow` is read.
+        only if the result's `network` or `flow` is read. If every vertex
+        was offered `dag.in_adj[v]` itself, the kept edges are a subgraph
+        of the Dag with its reachability, and the cover gets its
+        certificate (see SolveResult).
         """
         if 0 in self.split_f:
             raise InvariantViolation(
@@ -432,6 +471,9 @@ class SolverState:
         levels = LevelAssignment(self.lv[0::2], self.lv[1::2],
                                  list(self.cut_demand), self.max_level)
         kept = _KeptEdges(self.n, list(self.cross_tail), list(self.cross_head))
+        if self._own_edges:
+            cover._certificate = _Certificate(
+                weakref.ref(self.dag), list(map(list, cover.paths)), levels, kept)
         return SolveResult(cover, levels, self.charge_counters(), kept)
 
     def _check_paths(self) -> None:

@@ -2,7 +2,9 @@
 
 Nothing here shares code with the flow machinery: width comes from bipartite
 matching on the transitive closure, antichains from subset search, and cover
-validation from direct edge checks.
+validation from direct edge checks. `solver_certificate`, next to
+`validate_cover`, tells the pipeline stages when a cover needs no such check
+because the solver already proved it.
 """
 from __future__ import annotations
 
@@ -149,6 +151,23 @@ def validate_cover(dag: Dag, cover: PathCover) -> CoverReport:
         if not covered[v]:
             report.violations.append(f"uncovered: {v}")
     return report
+
+
+def solver_certificate(dag: Dag, cover: PathCover):
+    """The certificate the solver attached to cover, or None.
+
+    It is returned only for the Dag object that was solved, while that
+    object lives, and while cover.paths still equals the solver's own
+    copy, which one list comparison decides. Then the cover is the
+    solver's checked decomposition of a minimum flow on kept edges that
+    preserve dag's reachability: a valid minimum cover of dag, with no
+    validate_cover needed. A mutated or rebuilt cover, or an equal but
+    distinct Dag, gets None and takes the checked route.
+    """
+    cert = getattr(cover, "_certificate", None)
+    if cert is not None and cert.dag() is dag and cover.paths == cert.paths:
+        return cert
+    return None
 
 
 def _cover_is_valid(dag: Dag, paths: list[list[int]]) -> bool:

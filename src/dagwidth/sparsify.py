@@ -7,13 +7,19 @@ one dict filled in one pass over the in-neighbors; `sparsify_vertex` (which
 the solver's step route calls) and `sparsify_all` pick their survivors with
 it. The solver's kernel, `SolverState._insert_all`, runs the same rule
 inline, in the pass that also checks the insertion order.
+
+The edges the solver kept already are such a subgraph, with in-degrees at
+most the width. For a cover `solve` returned, while it carries its
+certificate (`oracle.solver_certificate`), `sparsify_all` returns the
+subgraph of those kept edges without validating the cover or choosing
+survivors again; the result differs from the rule's own.
 """
 from __future__ import annotations
 
 from .dag import Dag, PathCover
 from .dag import build_dag  # noqa: F401  the benchmark's dag.build hook targets this binding
 from .errors import BadPathId, NotACover
-from .oracle import validate_cover
+from .oracle import solver_certificate, validate_cover
 
 
 def last_per_path(in_neighbors, path_id, topo_pos) -> dict[int, int]:
@@ -68,7 +74,14 @@ def sparsify_all(dag: Dag, cover: PathCover) -> Dag:
     output. The subgraph is assembled directly, without a rebuild: its
     adjacency lists come out sorted, and dag.topo is also its min-id Kahn
     order, because that order depends only on reachability.
+
+    A solver cover with its certificate skips all of that: the solver's
+    kept edges have in-degrees at most the cover's size and dag's
+    reachability, and the cover steps only along them.
     """
+    cert = solver_certificate(dag, cover)
+    if cert is not None:
+        return _kept_subgraph(dag, cert.kept)
     report = validate_cover(dag, cover)
     if not report.ok:
         raise NotACover("; ".join(report.violations[:3]))
@@ -90,4 +103,19 @@ def sparsify_all(dag: Dag, cover: PathCover) -> Dag:
         in_adj.append(kept)
         for u in kept:
             out_adj[u].append(v)
+    return Dag(n, out_adj, in_adj, dag.topo, dag.topo_pos)
+
+
+def _kept_subgraph(dag: Dag, kept) -> Dag:
+    """The spanning subgraph of the solver's kept edges, each listed once,
+    assembled as sparsify_all assembles its own."""
+    n = dag.n
+    in_adj: list[list[int]] = [[] for _ in range(n)]
+    for u, w in zip(kept.cross_tail, kept.cross_head):
+        in_adj[w].append(u)
+    out_adj: list[list[int]] = [[] for _ in range(n)]
+    for w, tails in enumerate(in_adj):
+        tails.sort()
+        for u in tails:
+            out_adj[u].append(w)
     return Dag(n, out_adj, in_adj, dag.topo, dag.topo_pos)

@@ -34,6 +34,15 @@ def corpus():
     return out
 
 
+def complete_bipartite_layers(sizes):
+    """Layers of the given sizes, each joined to the next by all edges."""
+    starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    edges = [(u, v) for i in range(len(sizes) - 1)
+             for u in range(starts[i], starts[i + 1])
+             for v in range(starts[i + 1], starts[i + 2])]
+    return build_dag(starts[-1], edges)
+
+
 def dense_cover(dag, seed: int):
     """A deliberately redundant cover: random paths with heavy edge reuse.
 

@@ -6,7 +6,8 @@ from dagwidth import (PathCover, build_dag, chain_cover_from_mpc,
                       flow_from_cover, max_antichain, max_antichain_from_flow,
                       oracle_width, reaches, reduce, remark_family, solve)
 from dagwidth.errors import NotACover, NotMinimum
-from tests.conftest import corpus_instance, dense_cover
+from dagwidth.oracle import closure_masks, solver_certificate
+from tests.conftest import complete_bipartite_layers, corpus_instance, dense_cover
 
 
 def test_antichain_d4_is_unique(d4):
@@ -51,14 +52,29 @@ def _antichain_dags():
         yield corpus_instance(seed)
     for n in range(2, 7):
         yield remark_family(n)
+    yield complete_bipartite_layers([12] * 5)
+    yield complete_bipartite_layers([3, 16, 1, 9, 16, 5])
+
+
+def _assert_antichain(dag, members, size):
+    assert len(members) == size
+    reach = closure_masks(dag)
+    for a in members:
+        for b in members:
+            assert a == b or not (reach[a] >> b) & 1, (a, b)
 
 
 def test_antichain_matches_flow_reference():
     for dag in _antichain_dags():
         for variant in ("k2", "k3"):
             cover = solve(dag, variant).cover
-            members = max_antichain(dag, cover)
-            assert members == _reference_antichain(dag, cover), (dag, variant)
+            # the solver's level-0 cut, read off the certificate
+            assert solver_certificate(dag, cover) is not None
+            _assert_antichain(dag, max_antichain(dag, cover), cover.size)
+            # the sweep, on a copy that carries no certificate
+            plain = PathCover([list(p) for p in cover.paths])
+            members = max_antichain(dag, plain)
+            assert members == _reference_antichain(dag, plain), (dag, variant)
             assert len(members) == cover.size
 
 

@@ -22,18 +22,29 @@ def test_mpc_d4(tmp_path, capsys):
     assert cover.size == 2
 
 
-def _singleton_chain(tmp_path, monkeypatch) -> str:
+def _singleton_chain(tmp_path, monkeypatch, forged=False) -> str:
     """A 600-vertex chain, with the solver patched to cover it by
     singletons: a valid cover that is not minimum. n > 500 is past the
-    oracle's bound, so only the decrementing-path check can reject it."""
+    oracle's bound, so only the decrementing-path check can reject it.
+    forged attaches a certificate that vouches for the singletons: every
+    vertex on the level-0 cut, which max_antichain would accept."""
+    import weakref
     from types import SimpleNamespace
 
-    from dagwidth import PathCover, cli
+    from dagwidth import LevelAssignment, PathCover, cli
+    from dagwidth.incremental import _Certificate, _KeptEdges
     n = 600
     text = f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1))
-    singletons = PathCover([[v] for v in range(n)])
-    monkeypatch.setattr(cli, "solve",
-                        lambda dag, variant: SimpleNamespace(cover=singletons))
+
+    def singletons(dag, variant):
+        cover = PathCover([[v] for v in range(n)])
+        if forged:
+            levels = LevelAssignment([0] * n, [1] * n, [n], 1)
+            cover._certificate = _Certificate(
+                weakref.ref(dag), [[v] for v in range(n)], levels, _KeptEdges(n, [], []))
+        return SimpleNamespace(cover=cover)
+
+    monkeypatch.setattr(cli, "solve", singletons)
     return _write(tmp_path, "chain.txt", text)
 
 
@@ -51,15 +62,42 @@ def test_verify_rejects_a_non_minimum_solver_cover(command, tmp_path, capsys, mo
     assert "not minimum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["mpc", "antichain", "mcc", "thin"])
+def test_verify_ignores_the_certificate_of_a_non_minimum_cover(
+        command, tmp_path, capsys, monkeypatch):
+    rc = main([command, _singleton_chain(tmp_path, monkeypatch, forged=True), "--verify"])
+    assert rc == 2
+    assert "not minimum" in capsys.readouterr().err
+
+
 def test_antichain_verify_sweeps_once(tmp_path, capsys, monkeypatch):
     from dagwidth import cli
     calls = []
-    sweep = cli.max_antichain
-    monkeypatch.setattr(cli, "max_antichain",
+    sweep = cli.residual_antichain
+    monkeypatch.setattr(cli, "residual_antichain",
                         lambda dag, cover: calls.append(1) or sweep(dag, cover))
+    monkeypatch.setattr(cli, "max_antichain", None)
     rc = main(["antichain", _write(tmp_path, "g.txt", D4_TEXT), "--verify"])
     assert rc == 0 and capsys.readouterr().out == "1 2\n"
     assert len(calls) == 1
+
+
+def test_antichain_verify_prints_the_sweeps_set(tmp_path, capsys):
+    # on this corpus DAG the solver's level-0 cut, which plain `antichain`
+    # prints, differs from the residual sweep's antichain, which --verify
+    # computes without the certificate and prints
+    from dagwidth import PathCover, io, max_antichain, solve
+    from tests.conftest import corpus_instance
+    dag = corpus_instance(100)
+    cover = solve(dag).cover
+    cut = max_antichain(dag, cover)
+    swept = max_antichain(dag, PathCover([list(p) for p in cover.paths]))
+    assert cut != swept and len(cut) == len(swept) == cover.size
+    graph = _write(tmp_path, "g.txt", io.format_edge_list(dag))
+    assert main(["antichain", graph]) == 0
+    assert capsys.readouterr().out == io.format_antichain(cut)
+    assert main(["antichain", graph, "--verify"]) == 0
+    assert capsys.readouterr().out == io.format_antichain(swept)
 
 
 def test_mcc_verify_rejects_a_chain_out_of_path_order(tmp_path, capsys, monkeypatch):

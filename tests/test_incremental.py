@@ -13,7 +13,7 @@ from dagwidth import (PathCover, build_dag, check_flow, decompose,
 from dagwidth.dag import Dag
 from dagwidth.errors import BadPathId, InvariantViolation, OrderViolation
 from dagwidth.incremental import SolverState
-from tests.conftest import corpus_instance
+from tests.conftest import complete_bipartite_layers, corpus_instance
 
 
 def test_solve_d4_both_variants(d4):
@@ -774,14 +774,6 @@ def test_result_flags_uninserted_vertex(d4):
         state.result()
 
 
-def _complete_bipartite_layers(sizes):
-    starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
-    edges = [(u, v) for i in range(len(sizes) - 1)
-             for u in range(starts[i], starts[i + 1])
-             for v in range(starts[i + 1], starts[i + 2])]
-    return build_dag(starts[-1], edges)
-
-
 def _chain_with_shortcuts(n, reach, extra, seed):
     """A chain, edges to the next `reach` vertices and `extra` random ones."""
     rng = random.Random(seed)
@@ -794,8 +786,8 @@ def _chain_with_shortcuts(n, reach, extra, seed):
 
 STRUCTURED_FAMILIES = {
     **{f"remark-{n}": (lambda n=n: remark_family(n)) for n in range(9, 13)},
-    "bipartite-layers-12x5": lambda: _complete_bipartite_layers([12] * 5),
-    "bipartite-layers-mixed": lambda: _complete_bipartite_layers([3, 16, 1, 9, 16, 5]),
+    "bipartite-layers-12x5": lambda: complete_bipartite_layers([12] * 5),
+    "bipartite-layers-mixed": lambda: complete_bipartite_layers([3, 16, 1, 9, 16, 5]),
     "chain-shortcuts-200": lambda: _chain_with_shortcuts(200, 8, 800, 7),
     "single-vertex": lambda: build_dag(1, []),
     "empty": lambda: build_dag(0, []),
@@ -851,8 +843,8 @@ def _kernel_dags():
     for seed in range(1000):
         yield corpus_instance(seed)  # criterion 1's corpus
     yield remark_family(8)
-    yield _complete_bipartite_layers([12] * 5)
-    yield _complete_bipartite_layers([3, 16, 1, 9, 16, 5])
+    yield complete_bipartite_layers([12] * 5)
+    yield complete_bipartite_layers([3, 16, 1, 9, 16, 5])
     for s in (1, 2, 3):
         yield gen_random_dag(3000, 128, 0.5, s)  # many general-route insertions
 
