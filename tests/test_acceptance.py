@@ -17,7 +17,7 @@ from dagwidth import (PathCover, gen_random_dag, max_antichain,
                       validate_cover)
 from dagwidth.cli import main
 from dagwidth.incremental import SolverState
-from dagwidth.oracle import closure_masks
+from dagwidth.oracle import closure_masks, solver_certificate
 from dagwidth.sparsify import sparsify_all
 from dagwidth.thinning import cover_support
 
@@ -163,6 +163,8 @@ def test_bench_scaling_instances_pop_linearly(bench_instances):
 
 def test_criterion_6_transitive_sparsification(solved_corpus):
     for seed, dag, width, result in solved_corpus[:200]:
+        # the solver's cover with its certificate: the kept-edge subgraph
+        assert solver_certificate(dag, result.cover) is not None, seed
         sparse = sparsify_all(dag, result.cover)
         assert closure_masks(sparse) == closure_masks(dag), seed
         assert max((len(a) for a in sparse.in_adj), default=0) <= width, seed
