@@ -6,11 +6,14 @@ the out-half is not, form a maximum antichain; `residual_antichain` finds
 them in one sweep over the graph and the cover. A cover that `solve`
 returned needs no sweep while it carries its certificate
 (`oracle.solver_certificate`): `max_antichain` then reads the solver's
-level-0 layered cut, and `chain_cover_from_mpc` skips `validate_cover`.
+level-0 layered cut, once one pass over the kept edges has checked that
+the levels separate it, and `chain_cover_from_mpc` skips `validate_cover`.
 The CLI's `--verify` calls the sweep itself, so its check never rests on
 the certificate.
 """
 from __future__ import annotations
+
+from operator import le
 
 from .dag import Dag, PathCover
 from .errors import InvariantViolation, NotACover, NotMinimum
@@ -38,19 +41,27 @@ def max_antichain(dag: Dag, cover: PathCover) -> set[int]:
     cover of dag and NotMinimum if it is not minimum.
 
     A solver cover with its certificate gives the level-0 layered cut,
-    {v : level_in[v] == 0 < level_out[v]}, in O(n). The reverse of every
-    kept edge and split edge is residual and never raises the level, so
-    for u reaching w along kept edges, level_out[u] <= level_in[w]: no
-    member reaches another, and a cut of cover.size members is maximum.
-    A cut of any other size, and every other cover, is validated and
-    swept by `residual_antichain`.
+    {v : level_in[v] == 0 < level_out[v]}, in O(n + kept edges). The
+    reverse of every kept edge and split edge is residual and never raises
+    the level, so level_out[u] <= level_in[w] on every kept edge (u, w)
+    and level_in[v] <= level_out[v] on every vertex; one pass checks both.
+    The kept edges carry dag's reachability, so for u reaching w,
+    level_out[u] <= level_in[w]: no member reaches another, and a cut of
+    cover.size members is a maximum antichain, which proves the cover
+    minimum. A cut of any other size, levels that break the premise, and
+    every other cover are validated and swept by `residual_antichain`.
     """
     cert = solver_certificate(dag, cover)
     if cert is not None:
+        level_in = cert.levels.level_in
         level_out = cert.levels.level_out
-        members = {v for v, level in enumerate(cert.levels.level_in)
+        kept = cert.kept
+        members = {v for v, level in enumerate(level_in)
                    if not level and level_out[v]}
-        if len(members) == len(cover.paths):
+        if (len(members) == len(cover.paths)
+                and all(map(le, level_in, level_out))
+                and all(map(le, map(level_out.__getitem__, kept.cross_tail),
+                            map(level_in.__getitem__, kept.cross_head)))):
             return members
     report = validate_cover(dag, cover)
     if not report.ok:

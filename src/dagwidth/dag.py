@@ -60,6 +60,13 @@ class PathCover:
     # and only oracle.solver_certificate reads it
     _certificate = None
 
+    def __getstate__(self):
+        # a pickled or copied cover is certificate-free: the certificate's
+        # weak reference names one live Dag object, which no copy can keep
+        state = self.__dict__.copy()
+        state.pop("_certificate", None)
+        return state
+
     @property
     def size(self) -> int:
         return len(self.paths)

@@ -84,7 +84,8 @@ The final cover is a copy of the stored paths, checked to decompose the
 flow exactly. No flow network or flow is built unless a result's
 `network` or `flow` is read. The cover carries that proof on to the later
 stages as a certificate (see SolveResult): the antichain is its level-0
-cut and the sparsified subgraph its kept edges, with no second check.
+cut, once one pass over the kept edges has checked its levels, and the
+sparsified subgraph its kept edges, with no second check.
 """
 from __future__ import annotations
 
@@ -186,11 +187,12 @@ class SolveResult:
 
     When every vertex was offered its Dag's own in-edge list, the cover
     also carries a private certificate: a weak reference to the Dag, a
-    copy of the paths, the levels and the kept edges. For a cover that still lists exactly those
-    paths, and for that same Dag object, `max_antichain` reads the level-0
-    cut, `sparsify_all` builds the subgraph of the kept edges, and
-    `chain_cover_from_mpc` and `thin` skip `validate_cover`. Any other
-    cover, a copy included, takes their checked route.
+    copy of the paths, the levels and the kept edges. For a cover that
+    still lists exactly those paths, and for that same Dag object,
+    `max_antichain` reads the level-0 cut (after checking the levels on
+    the kept edges), `sparsify_all` builds the subgraph of the kept edges,
+    and `chain_cover_from_mpc` and `thin` skip `validate_cover`. Any other
+    cover, a copy or a pickled cover included, takes their checked route.
     """
 
     def __init__(self, cover: PathCover, levels: LevelAssignment, charges: dict,

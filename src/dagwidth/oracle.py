@@ -164,7 +164,7 @@ def solver_certificate(dag: Dag, cover: PathCover):
     validate_cover needed. A mutated or rebuilt cover, or an equal but
     distinct Dag, gets None and takes the checked route.
     """
-    cert = getattr(cover, "_certificate", None)
+    cert = cover._certificate
     if cert is not None and cert.dag() is dag and cover.paths == cert.paths:
         return cert
     return None

@@ -4,6 +4,7 @@ thin."""
 from __future__ import annotations
 
 import gc
+import pickle
 from collections import Counter
 
 import pytest
@@ -93,6 +94,55 @@ def test_a_cut_of_another_size_falls_back_to_the_sweep():
     cover._certificate = cert._replace(levels=empty)
     assert solver_certificate(dag, cover) is not None
     assert max_antichain(dag, cover) == max_antichain(dag, _plain(cover))
+
+
+def _cut_with_rising_levels(dag, cover):
+    """Levels whose level-0 cut has the cover's size and holds both ends
+    of a kept edge, so level_out[u] > level_in[w] on that edge."""
+    kept = cover._certificate.kept
+    u, w = kept.cross_tail[0], kept.cross_head[0]
+    cut = set(([u, w] + [v for v in range(dag.n) if v not in (u, w)])[:cover.size])
+    level_out = [int(v in cut) for v in range(dag.n)]
+    return LevelAssignment([0] * dag.n, level_out, [], 1)
+
+
+def _cut_with_a_crossed_split_edge(dag, cover):
+    """Levels whose level-0 cut is the sweep's antichain, while every
+    other vertex has level_in[v] > level_out[v]."""
+    cut = max_antichain(dag, _plain(cover))
+    level_in = [int(v not in cut) for v in range(dag.n)]
+    level_out = [int(v in cut) for v in range(dag.n)]
+    return LevelAssignment(level_in, level_out, [], 1)
+
+
+@pytest.mark.parametrize("forge", [_cut_with_rising_levels,
+                                   _cut_with_a_crossed_split_edge])
+def test_levels_that_break_the_premise_fall_back_to_the_sweep(forge, monkeypatch):
+    from dagwidth import antichain
+    dag = _dag()
+    cover = solve(dag).cover
+    assert cover.size >= 2
+    levels = forge(dag, cover)
+    cover._certificate = cover._certificate._replace(levels=levels)
+    cut = {v for v in range(dag.n) if not levels.level_in[v] and levels.level_out[v]}
+    assert len(cut) == cover.size
+    assert solver_certificate(dag, cover) is not None
+    calls = []
+    sweep = antichain.residual_antichain
+    monkeypatch.setattr(antichain, "residual_antichain",
+                        lambda dag, cover: calls.append(1) or sweep(dag, cover))
+    assert max_antichain(dag, cover) == sweep(dag, _plain(cover))
+    assert len(calls) == 1
+
+
+def test_a_pickled_cover_is_certificate_free():
+    dag = _dag()
+    result = solve(dag)
+    for copy in (pickle.loads(pickle.dumps(result.cover)),
+                 pickle.loads(pickle.dumps(result)).cover):
+        assert copy.paths == result.cover.paths
+        assert solver_certificate(dag, copy) is None
+    assert solver_certificate(dag, result.cover) is not None
 
 
 def test_only_a_solve_offered_the_dags_own_edges_is_certified():

@@ -26,8 +26,9 @@ def _singleton_chain(tmp_path, monkeypatch, forged=False) -> str:
     """A 600-vertex chain, with the solver patched to cover it by
     singletons: a valid cover that is not minimum. n > 500 is past the
     oracle's bound, so only the decrementing-path check can reject it.
-    forged attaches a certificate that vouches for the singletons: every
-    vertex on the level-0 cut, which max_antichain would accept."""
+    forged attaches a certificate that vouches for the singletons, with
+    the chain's edges as kept edges and every vertex on the level-0 cut:
+    a cut of the cover's size, whose levels rise along the kept edges."""
     import weakref
     from types import SimpleNamespace
 
@@ -40,8 +41,9 @@ def _singleton_chain(tmp_path, monkeypatch, forged=False) -> str:
         cover = PathCover([[v] for v in range(n)])
         if forged:
             levels = LevelAssignment([0] * n, [1] * n, [n], 1)
+            kept = _KeptEdges(n, list(range(n - 1)), list(range(1, n)))
             cover._certificate = _Certificate(
-                weakref.ref(dag), [[v] for v in range(n)], levels, _KeptEdges(n, [], []))
+                weakref.ref(dag), [[v] for v in range(n)], levels, kept)
         return SimpleNamespace(cover=cover)
 
     monkeypatch.setattr(cli, "solve", singletons)
@@ -68,6 +70,16 @@ def test_verify_ignores_the_certificate_of_a_non_minimum_cover(
     rc = main([command, _singleton_chain(tmp_path, monkeypatch, forged=True), "--verify"])
     assert rc == 2
     assert "not minimum" in capsys.readouterr().err
+
+
+def test_antichain_checks_the_levels_of_a_forged_certificate(
+        tmp_path, capsys, monkeypatch):
+    # the forged cut has the cover's size, but level_out[u] > level_in[w]
+    # on the kept edges, so plain `antichain` falls back to the sweep,
+    # which finds the decrementing path
+    rc = main(["antichain", _singleton_chain(tmp_path, monkeypatch, forged=True)])
+    assert rc == 1
+    assert "decrementing path" in capsys.readouterr().err
 
 
 def test_antichain_verify_sweeps_once(tmp_path, capsys, monkeypatch):

@@ -56,7 +56,11 @@ def test_sparsify_all_rejects_invalid_covers(paths):
 @pytest.mark.parametrize("seed", [2, 17, 33, 58, 71])
 def test_sparsify_all_preserves_reachability(seed):
     dag = corpus_instance(seed)
-    for cover in (solve(dag).cover, dense_cover(dag, seed)):
+    mpc = solve(dag).cover
+    # the solver's cover (kept edges), a certificate-free copy of it (the
+    # per-path rule on a minimum cover) and a redundant cover
+    plain = PathCover([list(p) for p in mpc.paths])
+    for cover in (mpc, plain, dense_cover(dag, seed)):
         sparse = sparsify_all(dag, cover)
         assert closure_masks(sparse) == closure_masks(dag)
         assert max((len(a) for a in sparse.in_adj), default=0) <= cover.size
